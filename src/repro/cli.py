@@ -85,8 +85,6 @@ DIR`` (durable write-ahead journal + atom checkpoints under DIR),
 is charged to the ledger and escalated like a platform failure), and the
 chaos switches ``--crash-at N`` / ``--crash-mode {before,after,torn}``
 (hard-abort the process around journal commit N; exit code 3).
-``REPRO_RESUME=1`` and ``REPRO_DEADLINE_MS`` are the environment
-equivalents of ``resume`` semantics and ``--deadline-ms``.
 """
 
 from __future__ import annotations
@@ -221,9 +219,8 @@ def _add_journal_flags(subparser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="MS",
         help=(
-            "per-atom wall-clock budget (default: $REPRO_DEADLINE_MS "
-            "or none); an overrun is charged to the ledger and "
-            "escalated like a platform failure"
+            "per-atom wall-clock budget (default: none); an overrun is "
+            "charged to the ledger and escalated like a platform failure"
         ),
     )
 
@@ -950,7 +947,7 @@ def _render_columnar_report(ctx: RheemContext, execution) -> list[str]:
     if not columnar_on:
         mode = "off (set REPRO_COLUMNAR=1 to pack numeric hand-offs)"
     elif not native_on:
-        mode = "packed, egest-per-consumer (REPRO_COLUMNAR_NATIVE=0)"
+        mode = "packed, egest-per-consumer (columnar_native=False)"
     else:
         mode = "native (eligible consumers read column buffers in place)"
     lines = [f"columnar data path: {mode}", "  boundaries:"]

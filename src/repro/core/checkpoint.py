@@ -41,6 +41,24 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.storage.catalog import Catalog
 
 
+def code_token(func) -> Any:
+    """Hashable token for a callable: compiled bytecode, consts, names.
+
+    Closures hash their code, not their captured values; both plan
+    fingerprints (this module's and
+    :mod:`repro.core.optimizer.fingerprint`) account for parameters
+    separately.
+    """
+    code = getattr(func, "__code__", None)
+    if code is None:  # builtins, partials, callables: best effort
+        return getattr(func, "__qualname__", None) or repr(type(func))
+    consts = tuple(
+        c.co_code.hex() if hasattr(c, "co_code") else repr(c)
+        for c in code.co_consts
+    )
+    return (code.co_code.hex(), consts, code.co_names)
+
+
 def plan_fingerprint(plan: "ExecutionPlan") -> str:
     """Stable hash of an execution plan's *structure*.
 
@@ -55,16 +73,6 @@ def plan_fingerprint(plan: "ExecutionPlan") -> str:
     ``plan_key`` responsibility.
     """
     from repro.core.execution.plan import LoopAtom
-
-    def code_token(func) -> Any:
-        code = getattr(func, "__code__", None)
-        if code is None:  # builtins, partials, callables: best effort
-            return getattr(func, "__qualname__", None) or repr(type(func))
-        consts = tuple(
-            c.co_code.hex() if hasattr(c, "co_code") else repr(c)
-            for c in code.co_consts
-        )
-        return (code.co_code.hex(), consts, code.co_names)
 
     def op_token(op) -> tuple:
         stages = getattr(op, "stages", None)  # fused pipelines

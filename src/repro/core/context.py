@@ -113,8 +113,7 @@ class RheemContext:
         ``columnar=True`` packs numeric channel hand-offs into
         struct-of-arrays buffers, with conversion charged to the ledger
         (default off, or the ``REPRO_COLUMNAR`` environment variable);
-        ``columnar_native=True`` (the default when columnar is on, or
-        the ``REPRO_COLUMNAR_NATIVE`` environment variable) lets
+        ``columnar_native=True`` (the default when columnar is on) lets
         eligible consumers read the column buffers in place, eliding the
         row materialisation (``columnar.elide`` ledger entries; wall
         time only);
@@ -128,10 +127,10 @@ class RheemContext:
         the store (``REPRO_NO_CALIBRATION=1`` disables all of it);
         ``resume=True`` makes the Executor resume a crashed run from an
         attached :class:`~repro.core.recovery.RunJournal` instead of
-        starting over (default off, or ``REPRO_RESUME``);
+        starting over (default off);
         ``deadline_ms`` bounds each atom attempt's wall-clock time —
         overruns are charged, counted and escalated through the
-        failover ladder (default off, or ``REPRO_DEADLINE_MS``);
+        failover ladder (default off);
         ``profile=True`` attaches real-resource attribution (CPU,
         peak allocation, GC pauses, queue wait, channel bytes) to every
         atom span and the metrics registry (default off, or
@@ -329,8 +328,10 @@ class RheemContext:
 
         Like :meth:`execute`, but the executor replans the remaining plan
         whenever observed cardinalities contradict the optimizer's
-        estimates (see :mod:`repro.core.progressive`).  Returns the result
-        plus the number of replans performed.
+        estimates (see :mod:`repro.core.progressive`).  The run goes
+        through the same atom driver, at this context's parallelism,
+        execution mode and admission pool.  Returns the result plus the
+        number of replans performed.
         """
         from repro.core.progressive import ProgressiveExecutor
 
@@ -348,6 +349,9 @@ class RheemContext:
             calibration=self.calibration,
         )
         progressive.listeners = self.executor.listeners
+        progressive.parallelism = self.executor.parallelism
+        progressive.execution_mode = self.executor.execution_mode
+        progressive.slot_pool = self.executor.slot_pool
         return progressive.execute_progressively(
             physical,
             runtime,

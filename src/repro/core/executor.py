@@ -67,13 +67,19 @@ from repro.core.observability.resources import (
 from repro.core.observability.spans import (
     KIND_EXECUTOR,
     KIND_MOVEMENT,
+    Tracer,
     maybe_span,
 )
 from repro.core.optimizer.cost import MovementCostModel
 from repro.core.replan import plan_operator_ids, remainder_plan
 from repro.core.resilience import BackoffPolicy
 from repro.core.runtime import RuntimeContext
-from repro.core.scheduler import ConcurrentAtomScheduler, CriticalPath
+from repro.core.scheduler import (
+    ConcurrentAtomScheduler,
+    CriticalPath,
+    SegmentCut,
+    shard_runtime,
+)
 from repro.errors import (
     AtomDeadlineError,
     AtomExhaustedError,
@@ -87,12 +93,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.core.optimizer.calibration import CalibrationStore
     from repro.core.optimizer.enumerator import MultiPlatformOptimizer
     from repro.platforms.base import Platform
-
-
-#: sentinel distinguishing "not supplied" from an explicit ``None``
-#: (the concurrent scheduler passes ``ordinal=None`` when no failure
-#: injector is configured, which must *not* fall back to ``next_atom``)
-_UNSET: Any = object()
 
 
 @dataclass
@@ -115,44 +115,18 @@ class ExecutionResult:
         return next(iter(self.outputs.values()))
 
 
-class _DeadlineRuntime:
-    """Runtime clone handed to a deadline-guarded ``execute_atom`` call.
-
-    Shares everything a platform legitimately needs — catalog, failure
-    injector, health, bound loop state, the source cache — but swaps in
-    a private shard tracer: the platform wires its atom ledger to
-    ``runtime.tracer``, so if the call overruns its deadline the
-    abandoned zombie thread keeps writing spans/charges into a tracer
-    nobody reads, instead of corrupting the live trace.
-    """
-
-    __slots__ = (
-        "catalog",
-        "failure_injector",
-        "tracer",
-        "checkpoint",
-        "health",
-        "bound_sources",
-        "source_cache",
-        "caching_enabled",
-    )
-
-    def __init__(self, base: RuntimeContext, tracer):
-        self.catalog = base.catalog
-        self.failure_injector = base.failure_injector
-        self.tracer = tracer
-        self.checkpoint = None  # execute_atom never checkpoints
-        self.health = base.health
-        self.bound_sources = base.bound_sources
-        self.source_cache = base.source_cache
-        self.caching_enabled = base.caching_enabled
-
-
 class Executor:
     """Schedules, monitors, retries and (optionally) fails over atoms."""
 
     #: virtual ms charged per failover re-planning round
     FAILOVER_REPLAN_MS = 0.5
+
+    #: after-atom hook ``(plan, index, channels) -> bool``,
+    #: evaluated at the scheduler's plan-order step.  True cuts the
+    #: segment after ``index`` and :meth:`execute` carries on with the
+    #: plan ``_replan_tail`` hands back.  None: atoms are never cut
+    #: (:class:`~repro.core.progressive.ProgressiveExecutor` installs one).
+    _after_atom = None
 
     def __init__(
         self,
@@ -227,14 +201,11 @@ class Executor:
         #: zero-cost ``columnar.elide`` ledger entry right after the
         #: boundary's ordinary (virtual) ``columnar.egest`` charge, so
         #: virtual time and outputs are identical to the egest path and
-        #: only wall time changes.  ``None`` reads
-        #: ``REPRO_COLUMNAR_NATIVE`` (default on); only meaningful when
-        #: ``columnar`` is set.
-        if columnar_native is None:
-            columnar_native = os.environ.get(
-                "REPRO_COLUMNAR_NATIVE", ""
-            ).strip().lower() not in ("0", "false", "no", "off")
-        self.columnar_native = columnar_native
+        #: only wall time changes.  ``None`` means on; only meaningful
+        #: when ``columnar`` is set.
+        self.columnar_native = (
+            True if columnar_native is None else columnar_native
+        )
         #: optional cross-run calibration store; when attached, the
         #: deterministic per-run observation feed
         #: (``metrics.calibration_observations``) is folded into its
@@ -242,24 +213,12 @@ class Executor:
         self.calibration = calibration
         #: opt-in crash recovery: when a ``runtime.journal`` holds a
         #: compatible run journal, its trusted prefix is replayed instead
-        #: of re-executed (see :mod:`repro.core.recovery`).  ``None``
-        #: reads ``REPRO_RESUME`` (default off).
-        if resume is None:
-            resume = os.environ.get(
-                "REPRO_RESUME", ""
-            ).strip().lower() in ("1", "true", "yes", "on")
-        self.resume = resume
+        #: of re-executed (see :mod:`repro.core.recovery`).  Default off.
+        self.resume = bool(resume)
         #: per-atom wall-clock deadline: an ``execute_atom`` call that
         #: outlives it is abandoned and treated as a platform outage
         #: (:class:`~repro.errors.AtomDeadlineError` → breaker →
-        #: failover).  ``None`` reads ``REPRO_DEADLINE_MS`` (default off).
-        if deadline_ms is None:
-            raw = os.environ.get("REPRO_DEADLINE_MS", "").strip()
-            if raw:
-                try:
-                    deadline_ms = float(raw)
-                except ValueError:
-                    deadline_ms = None
+        #: failover).  ``None`` or non-positive: off.
         self.deadline_ms = (
             deadline_ms if deadline_ms is not None and deadline_ms > 0 else None
         )
@@ -315,14 +274,15 @@ class Executor:
     ) -> ExecutionResult:
         """Run an execution plan and aggregate its results.
 
-        When failover is enabled, the plan handed back by each failover
-        round replaces ``plan`` for the remainder of the run; outputs are
-        still keyed by the original collect sinks (operator ids are
-        stable across re-plans).
+        Every top-level segment runs through the one atom driver
+        (:class:`~repro.core.scheduler.ConcurrentAtomScheduler`).  The
+        plan handed back by a failover round — or by an adaptive
+        executor's tail re-plan — replaces ``plan`` for the remainder of
+        the run; outputs are still keyed by the original collect sinks
+        (operator ids are stable across re-plans).
         """
         runtime = runtime or RuntimeContext()
         tracer = runtime.tracer
-        self._tracer = tracer
         metrics = ExecutionMetrics(
             registry=tracer.registry if tracer is not None else None
         )
@@ -384,17 +344,31 @@ class Executor:
                     )
                     first_segment = False
                 try:
-                    self._run_plan_atoms(
-                        current, channels, runtime, metrics, models, cpath,
-                        start=start,
-                    )
+                    ConcurrentAtomScheduler(
+                        self, current, channels, runtime, metrics, models,
+                        cpath, start=start,
+                    ).run()
                     break
                 except AtomExhaustedError as failure:
-                    start = 0
                     current = self._failover(
                         current, failure, channels, runtime, metrics,
                         excluded_platforms,
                     )
+                except SegmentCut as cut:
+                    current = self._replan_tail(
+                        current, cut.index, channels, metrics
+                    )
+                # Positional checkpoint keys no longer line up with the
+                # replaced suffix; stop checkpointing for the rest of
+                # this run (earlier saves stay valid for a future resume
+                # of the *original* plan).  The journal deactivates with
+                # it: its records describe the original plan's ordinals.
+                # A crash after this point resumes the clean prefix, and
+                # the restored injector/health state makes the re-run
+                # fail and fail over identically — same final bill.
+                runtime.checkpoint = None
+                runtime.journal = None
+                start = 0
 
             outputs = {}
             for sink in collect_sinks:
@@ -432,7 +406,6 @@ class Executor:
         finally:
             if span is not None:
                 tracer.end_span(span)
-            self._tracer = None
 
     # ------------------------------------------------------------------
     # fault tolerance: checkpoint staleness guard and failover
@@ -914,16 +887,6 @@ class Executor:
                 cause=failure.cause,
             ) from error
 
-        # Positional checkpoint keys no longer line up with the replanned
-        # suffix; stop checkpointing for the rest of this run (earlier
-        # saves stay valid for a future resume of the *original* plan).
-        # The journal deactivates with it: its records describe the
-        # original plan's ordinals.  A crash after this point resumes the
-        # clean prefix, and the restored injector/health state makes the
-        # re-run fail and fail over identically — same final bill.
-        runtime.checkpoint = None
-        runtime.journal = None
-
         metrics.failovers += 1
         metrics.ledger.charge(
             "failover.replan", self.FAILOVER_REPLAN_MS, platform_name, atom.id
@@ -940,107 +903,19 @@ class Executor:
         return replanned
 
     # ------------------------------------------------------------------
-    def _run_plan_atoms(
+    def _run_atom(
         self,
-        plan: ExecutionPlan,
+        atom: TaskAtom | LoopAtom,
         channels: dict[int, CollectionChannel],
         runtime: RuntimeContext,
         metrics: ExecutionMetrics,
         models: dict[str, Any],
-        cpath: CriticalPath,
-        start: int = 0,
     ) -> None:
-        """Run one top-level plan segment, tracking the critical path.
-
-        ``start`` atoms were already replayed from the run journal; only
-        the suffix executes.  Dispatches to the concurrent DAG scheduler
-        when ``parallelism`` allows it; otherwise runs the sequential
-        loop.  Checkpointing is positional (atom-ordinal keyed) and
-        restore/save ordering is part of its contract, so an attached
-        checkpoint forces the sequential path — *unless* a journal is
-        active: journaled runs save at the scheduler's deterministic
-        replay step instead, and restore exclusively through resume.
-        """
-        journal = self._active_journal(runtime)
-        # The dispatch decision depends on the *plan*, not the resumed
-        # suffix length: a one-atom suffix must still execute through
-        # the scheduler when the uninterrupted run would have (shard
-        # grafts group v-clock additions differently from inline
-        # charging, and resume promises bit-identical accounting).
-        if (
-            self.parallelism > 1
-            and (runtime.checkpoint is None or journal is not None)
-            and len(plan.atoms) > 1
-        ):
-            ConcurrentAtomScheduler(
-                self, plan, channels, runtime, metrics, models, cpath,
-                self.parallelism, start=start,
-            ).run()
-            return
-        for ordinal, atom in enumerate(plan.atoms):
-            if ordinal < start:
-                continue
-            before = metrics.ledger.total_ms
-            cpath.sync_overhead(before)
-            mark = self._journal_mark(metrics) if journal is not None else None
-            # Positional restore serves un-journaled reruns; journaled
-            # runs restore only through resume (which validates the
-            # journal prefix), keeping behaviour parallelism-independent.
-            if (
-                runtime.checkpoint is not None
-                and journal is None
-                and self._restore_atom(ordinal, atom, channels, runtime, metrics)
-            ):
-                cpath.record(atom, metrics.ledger.total_ms - before)
-                continue
-            pool = self.slot_pool
-            if pool is not None:
-                # Shared admission: top-level atoms draw from the
-                # process-wide per-platform budget (serving daemon).
-                pool.acquire(atom.platform.name)
-            try:
-                if isinstance(atom, LoopAtom):
-                    self._run_loop_atom(
-                        atom, channels, runtime, metrics, models
-                    )
-                else:
-                    self._run_task_atom(
-                        atom, channels, runtime, metrics, models
-                    )
-            finally:
-                if pool is not None:
-                    pool.release(atom.platform.name)
-            if runtime.checkpoint is not None:
-                self._save_atom(ordinal, atom, channels, runtime, metrics)
-            if journal is not None:
-                self._journal_commit(
-                    journal, mark, ordinal, atom, channels, runtime, metrics
-                )
-            cpath.record(atom, metrics.ledger.total_ms - before)
-
-    def _run_atoms(
-        self,
-        plan: ExecutionPlan,
-        channels: dict[int, CollectionChannel],
-        runtime: RuntimeContext,
-        metrics: ExecutionMetrics,
-        models: dict[str, Any],
-        top_level: bool = False,
-    ) -> None:
-        for ordinal, atom in enumerate(plan.atoms):
-            # Checkpointing applies to top-level atoms only: loop bodies
-            # re-run every iteration by design.
-            checkpointable = top_level and runtime.checkpoint is not None
-            if checkpointable and self._restore_atom(
-                ordinal, atom, channels, runtime, metrics
-            ):
-                continue
-            if isinstance(atom, LoopAtom):
-                self._run_loop_atom(atom, channels, runtime, metrics, models)
-            else:
-                self._run_task_atom(atom, channels, runtime, metrics, models)
-            if checkpointable and runtime.checkpoint is not None:
-                self._save_atom(ordinal, atom, channels, runtime, metrics)
+        """Run one atom live, consuming the shared counters directly."""
+        if isinstance(atom, LoopAtom):
+            self._run_loop_atom(atom, channels, runtime, metrics, models)
+        else:
+            self._run_task_atom(atom, channels, runtime, metrics, models)
 
     def _restore_atom(
         self,
@@ -1228,18 +1103,19 @@ class Executor:
         metrics: ExecutionMetrics,
         models: dict[str, Any],
         *,
-        ordinal: Any = _UNSET,
+        ordinal: int | None = None,
         token: int | None = None,
         queue_wait_ms: float = 0.0,
     ) -> None:
         """Run one task atom end-to-end: movement, retries, channels.
 
-        ``ordinal``/``token`` are the concurrent scheduler's predicted
-        fault-injection ordinal and backoff-jitter token; left at their
-        defaults (sequential path, ProgressiveExecutor), the shared
-        counters are consumed live.  ``queue_wait_ms`` is the scheduler's
-        measured dispatch-to-start latency (0.0 on the sequential path);
-        it is only recorded when profiling is enabled.
+        ``ordinal``/``token`` are the scheduler's predicted
+        fault-injection ordinal and backoff-jitter token for a
+        worker-run atom; left at their defaults (a live run on the
+        coordinator), the shared counters are consumed directly.
+        ``queue_wait_ms`` is the scheduler's measured dispatch-to-start
+        latency (0.0 for a live run); it is only recorded when profiling
+        is enabled.
         """
         self._reject_if_quarantined(atom, runtime)
         profiler = self._profiler
@@ -1394,7 +1270,7 @@ class Executor:
         runtime: RuntimeContext,
         metrics: ExecutionMetrics,
         *,
-        ordinal: Any = _UNSET,
+        ordinal: int | None = None,
         token: int | None = None,
     ):
         """Run one atom with retry + backoff + breaker bookkeeping.
@@ -1406,15 +1282,17 @@ class Executor:
         platform are wrapped with atom/platform context so user errors
         hit the same retry/failover machinery.
 
-        ``ordinal`` and ``token`` may be supplied by the concurrent
-        scheduler (predicted in plan order, committed at replay);
-        otherwise they are consumed live from the shared counters.
+        ``ordinal`` and ``token`` may be supplied by the scheduler
+        (predicted in plan order, committed at replay); otherwise they
+        are consumed live from the shared counters.  A predicted ordinal
+        is never None while an injector is configured, so None doubles
+        as "not supplied".
         """
         injector = runtime.failure_injector
         health = runtime.health
         platform_name = atom.platform.name
-        if ordinal is _UNSET:
-            ordinal = injector.next_atom() if injector is not None else None
+        if ordinal is None and injector is not None:
+            ordinal = injector.next_atom()
         if token is None:
             # Jitter token: run-local atom sequence number, not ``atom.id``
             # — operator ids come from a process-global counter, so only
@@ -1517,11 +1395,9 @@ class Executor:
         escalates like a platform outage (:class:`AtomDeadlineError` is
         a :class:`PlatformDownError`: breaker, then failover).
         """
-        from repro.core.observability.spans import Tracer
-
         tracer = getattr(runtime, "tracer", None)
         shard = Tracer() if tracer is not None else None
-        shadow = _DeadlineRuntime(runtime, shard)
+        shadow = shard_runtime(runtime, shard, runtime.health)
         box: dict[str, Any] = {}
 
         def call() -> None:
@@ -1648,9 +1524,12 @@ class Executor:
                 )
                 runtime.bound_sources[repeat.body_input.id] = state
                 body_channels: dict[int, CollectionChannel] = {}
-                self._run_atoms(
-                    atom.body_plan, body_channels, runtime, metrics, models
-                )
+                # Loop bodies re-run every iteration by design: no
+                # checkpointing, no journal, no admission below the top.
+                for body_atom in atom.body_plan.atoms:
+                    self._run_atom(
+                        body_atom, body_channels, runtime, metrics, models
+                    )
                 try:
                     state_out = body_channels[repeat.body_output.id]
                 except KeyError:

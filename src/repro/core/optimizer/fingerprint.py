@@ -22,34 +22,17 @@ from __future__ import annotations
 import hashlib
 from typing import Any
 
+from repro.core.checkpoint import code_token
 from repro.core.dag import OperatorNode
 from repro.core.logical.operators import Repeat
 from repro.core.logical.plan import LogicalPlan
-
-
-def _code_token(func) -> Any:
-    """Hashable token for a callable: compiled bytecode, consts, names.
-
-    Same idiom as the checkpoint fingerprint — closures hash their code,
-    not their captured values, but logical-plan fingerprints fold the
-    source data in separately, which covers the common parameterisation
-    path (data-driven queries) without inspecting cell contents.
-    """
-    code = getattr(func, "__code__", None)
-    if code is None:  # builtins, partials, callables: best effort
-        return getattr(func, "__qualname__", None) or repr(type(func))
-    consts = tuple(
-        c.co_code.hex() if hasattr(c, "co_code") else repr(c)
-        for c in code.co_consts
-    )
-    return (code.co_code.hex(), consts, code.co_names)
 
 
 def _value_token(value: Any) -> Any:
     if isinstance(value, LogicalPlan):
         return ("plan", _plan_token(value))
     if callable(value):
-        return ("code", _code_token(value))
+        return ("code", code_token(value))
     if isinstance(value, (list, tuple)):
         digest = hashlib.sha256()
         for item in value:

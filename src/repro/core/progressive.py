@@ -12,8 +12,10 @@ estimates.
 
 Mechanics:
 
-* atoms execute one at a time through the normal Executor machinery
-  (retries, movement charges, loops, monitoring events all apply);
+* the run goes through the ordinary :meth:`Executor.execute` — same atom
+  driver, spans, events, retries, admission and parallelism as any other
+  plan; this class only installs the after-atom hook and the tail
+  re-plan that :meth:`Executor.execute` continues with;
 * after each atom, its boundary outputs are compared against the round's
   estimates.  By default the run's misestimate-factor *distribution*
   drives the decision: boundary factors accumulate in a per-round
@@ -42,7 +44,7 @@ were consumed); re-optimization re-decides *platforms* for the tail.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 from repro.core.channels import CollectionChannel
 from repro.core.executor import ExecutionResult, Executor
@@ -53,12 +55,12 @@ from repro.core.metrics import (
     ExecutionMetrics,
 )
 from repro.core.observability.registry import HistogramSeries
+from repro.core.observability.spans import KIND_OPTIMIZER
 from repro.core.optimizer.calibration import calibration_enabled
 from repro.core.optimizer.cost import MovementCostModel
 from repro.core.physical.plan import PhysicalPlan
 from repro.core.replan import plan_operator_ids, remainder_plan
 from repro.core.runtime import RuntimeContext
-from repro.errors import ExecutionError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.optimizer.calibration import CalibrationStore
@@ -105,6 +107,16 @@ class ProgressiveExecutor(Executor):
         #: reaches ``high``; ``low`` is the healthy edge reported as
         #: converged in span attributes / the explain calibration report.
         self.drift_band = (low, high)
+        self._begin_run(None)
+
+    def _begin_run(self, forced_platform: str | None) -> None:
+        """Reset the per-run adaptive state."""
+        self._forced_platform = forced_platform
+        self._replans = 0
+        self._adaptive = calibration_enabled()
+        # Per-round drift window: replans re-estimate the tail from
+        # exact cardinalities, so drift evidence must not carry over.
+        self._window = HistogramSeries(MISESTIMATE_BUCKETS)
 
     # ------------------------------------------------------------------
     def execute_progressively(
@@ -117,110 +129,81 @@ class ProgressiveExecutor(Executor):
 
         Returns the execution result and the number of replans performed.
         """
-        import time
-
         runtime = runtime or RuntimeContext()
-        tracer = getattr(runtime, "tracer", None)
-        self._tracer = tracer
-        metrics = ExecutionMetrics(
-            registry=tracer.registry if tracer is not None else None
+        self._begin_run(forced_platform)
+        execution = self.task_optimizer.optimize(
+            physical,
+            forced_platform=forced_platform,
+            tracer=getattr(runtime, "tracer", None),
         )
-        metrics.ledger.tracer = tracer
-        started = time.perf_counter()
-        channels: dict[int, CollectionChannel] = {}
-        charged_platforms: set[str] = set()
-        collect_sinks = physical.collect_sinks()
-        remaining = physical
-        replans = 0
+        return self.execute(execution, runtime), self._replans
 
-        adaptive = calibration_enabled()
-        while True:
-            execution = self.task_optimizer.optimize(
-                remaining, forced_platform=forced_platform, tracer=tracer
-            )
-            models = {
-                p.name: p.cost_model for p in self.task_optimizer.platforms
-            }
-            for platform in execution.platforms:
-                if platform.name not in charged_platforms:
-                    charged_platforms.add(platform.name)
-                    metrics.ledger.charge(
-                        "startup", platform.cost_model.startup_ms(), platform.name
+    def _after_atom(
+        self,
+        plan: ExecutionPlan,
+        index: int,
+        channels: dict[int, CollectionChannel],
+    ) -> bool:
+        """The after-atom hook: whether to cut the segment after
+        ``index`` and re-plan the tail (see :meth:`_replan_tail`)."""
+        if index + 1 >= len(plan.atoms) or self._replans >= self.max_replans:
+            return False
+        atom = plan.atoms[index]
+        if self._adaptive:
+            return self._drift_exceeded(atom, channels, plan, self._window)
+        return self._atom_misestimated(atom, channels, plan)
+
+    def _replan_tail(
+        self,
+        current: ExecutionPlan,
+        index: int,
+        channels: dict[int, CollectionChannel],
+        metrics: ExecutionMetrics,
+    ) -> ExecutionPlan:
+        """Re-optimize what follows ``current.atoms[index]``, with every
+        materialised channel injected as an exact-cardinality source."""
+        atom = current.atoms[index]
+        tracer = metrics.ledger.tracer
+        executed: set[int] = set()
+        for done in current.atoms[: index + 1]:
+            executed |= plan_operator_ids(done)
+        remainder = remainder_plan(current.source_plan, executed, channels)
+        self._replans += 1
+        if self._adaptive:
+            metrics.registry.counter(
+                "replans_adaptive",
+                "plan-tail replans triggered by p90 drift",
+            ).inc()
+            if tracer is not None:
+                # A zero-charge span between atoms carries the drift event.
+                with tracer.span("replan", KIND_OPTIMIZER):
+                    tracer.event(
+                        "PLAN_REPLANNED",
+                        trigger="p90_drift",
+                        p90=self._window.quantile(0.9),
+                        band_high=self.drift_band[1],
+                        boundaries=self._window.n,
+                        atoms_executed=index + 1,
+                        replan=self._replans,
                     )
-            self._estimates = execution.estimates
-            self._estimate_kinds = execution.estimate_kinds
-            self._estimate_corrections = execution.estimate_corrections
-
-            # Per-round drift window: replans re-estimate the tail from
-            # exact cardinalities, so drift evidence must not carry over.
-            window = HistogramSeries(MISESTIMATE_BUCKETS)
-            replanned = False
-            for index, atom in enumerate(execution.atoms):
-                if isinstance(atom, LoopAtom):
-                    self._run_loop_atom(atom, channels, runtime, metrics, models)
-                else:
-                    self._run_task_atom(atom, channels, runtime, metrics, models)
-                tail_remains = index + 1 < len(execution.atoms)
-                if not tail_remains or replans >= self.max_replans:
-                    continue
-                if adaptive:
-                    trigger = self._drift_exceeded(
-                        atom, channels, execution, window
-                    )
-                else:
-                    trigger = self._atom_misestimated(atom, channels, execution)
-                if trigger:
-                    executed = set()
-                    for done in execution.atoms[: index + 1]:
-                        executed |= plan_operator_ids(done)
-                    remaining = remainder_plan(remaining, executed, channels)
-                    replans += 1
-                    replanned = True
-                    if adaptive:
-                        metrics.registry.counter(
-                            "replans_adaptive",
-                            "plan-tail replans triggered by p90 drift",
-                        ).inc()
-                        if tracer is not None:
-                            # No span is open between atoms, so open a
-                            # zero-charge one to carry the drift event.
-                            from repro.core.observability.spans import (
-                                KIND_OPTIMIZER,
-                            )
-
-                            with tracer.span("replan", KIND_OPTIMIZER):
-                                tracer.event(
-                                    "PLAN_REPLANNED",
-                                    trigger="p90_drift",
-                                    p90=window.quantile(0.9),
-                                    band_high=self.drift_band[1],
-                                    boundaries=window.n,
-                                    atoms_executed=index + 1,
-                                    replan=replans,
-                                )
-                    metrics.ledger.charge(
-                        "replan", 0.5, atom.platform.name, atom.id
-                    )
-                    break
-            if not replanned:
-                break
-
-        outputs: dict[int, list[Any]] = {}
-        for sink in collect_sinks:
-            if sink.id not in channels:
-                raise ExecutionError(
-                    f"collect sink {sink!r} produced no channel"
-                )
-            outputs[sink.id] = channels[sink.id].require_data()
-        metrics.wall_ms = (time.perf_counter() - started) * 1000.0
-        if self.calibration is not None:
-            # Feed the deterministic observation sequence into the
-            # cross-run priors (no-op under REPRO_NO_CALIBRATION).
-            self.calibration.ingest(metrics)
-        self._tracer = None
-        return ExecutionResult(outputs, metrics), replans
+        metrics.ledger.charge("replan", 0.5, atom.platform.name, atom.id)
+        self._window = HistogramSeries(MISESTIMATE_BUCKETS)
+        return self.task_optimizer.optimize(
+            remainder, forced_platform=self._forced_platform, tracer=tracer
+        )
 
     # ------------------------------------------------------------------
+    @staticmethod
+    def _boundary_factors(atom, channels, execution):
+        """Folded misestimate factor of each comparable output boundary."""
+        for op_id in atom.output_ids:
+            estimated = execution.estimates.get(op_id)
+            channel = channels.get(op_id)
+            if estimated is not None and channel is not None:
+                yield CardinalityMisestimate(
+                    op_id, estimated, len(channel)
+                ).factor
+
     def _drift_exceeded(
         self,
         atom: TaskAtom | LoopAtom,
@@ -236,40 +219,26 @@ class ProgressiveExecutor(Executor):
         exactly as the legacy fixed threshold treated them.
         """
         breached = False
-        for op_id in atom.output_ids:
-            estimated = execution.estimates.get(op_id)
-            channel = channels.get(op_id)
-            if estimated is None or channel is None:
-                continue
-            factor = CardinalityMisestimate(
-                op_id, estimated, len(channel)
-            ).factor
+        for factor in self._boundary_factors(atom, channels, execution):
             if factor == float("inf"):
                 breached = True
-                continue
-            window.observe(factor)
+            else:
+                window.observe(factor)
         if breached:
             return True
         return window.n > 0 and window.quantile(0.9) >= self.drift_band[1]
 
-    # ------------------------------------------------------------------
     def _atom_misestimated(
         self,
         atom: TaskAtom | LoopAtom,
         channels: dict[int, CollectionChannel],
         execution: ExecutionPlan,
     ) -> bool:
-        for op_id in atom.output_ids:
-            estimated = execution.estimates.get(op_id)
-            channel = channels.get(op_id)
-            if estimated is None or channel is None:
-                continue
-            report = CardinalityMisestimate(op_id, estimated, len(channel))
-            if report.factor >= self.replan_factor:
-                return True
-        return False
+        return any(
+            factor >= self.replan_factor
+            for factor in self._boundary_factors(atom, channels, execution)
+        )
 
 
-#: backward-compatible aliases (the helpers moved to repro.core.replan)
-_plan_operator_ids = plan_operator_ids
+#: backward-compatible alias (the helper moved to repro.core.replan)
 _remainder_plan = remainder_plan

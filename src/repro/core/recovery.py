@@ -29,8 +29,7 @@ This module supplies the missing durable half:
   headers and checkpoint fingerprints both embed it so state written
   under one configuration is never replayed into another.
 
-Resume (``Executor(resume=True)`` / ``REPRO_RESUME=1`` /
-``repro resume``) replays the journal's trusted prefix — restoring
+Resume (``Executor(resume=True)`` / ``repro resume``) replays the journal's trusted prefix — restoring
 channels from checkpoints and ledger/span/health/injector state from
 the records — and executes only the missing suffix; the recovery
 invariant (pinned by the crash/resume sweep tests) is that the final

@@ -1,11 +1,23 @@
-"""Dependency-aware concurrent task-atom scheduling.
+"""The atom driver: one scheduler runs every plan segment at every width.
 
 The paper's Executor "schedul[es] the resulting execution plan on the
-selected data processing frameworks" (§4.2).  The seed implementation ran
-atoms one at a time in topological order; this module adds a *concurrent
-DAG scheduler* that dispatches independent atoms onto a thread pool while
-preserving — byte for byte — the virtual-time accounting, span tree,
-resilience behaviour and outputs of the sequential executor.
+selected data processing frameworks" (§4.2).
+:class:`ConcurrentAtomScheduler` is the only code that drives a
+top-level plan segment — for ordinary, failover-replaced and adaptively
+re-planned segments alike — and it does so in one of two ways:
+
+* **inline** (``parallelism == 1``, a single-atom plan, or an attached
+  checkpoint without an active run journal): every atom, task or loop,
+  runs on the coordinator thread against the *live* ledger, tracer,
+  health tracker and injector counters — no thread hop, no shard;
+* **dispatched** (everything else): independent task atoms run on a
+  thread or process backend against private shards, and the coordinator
+  replays their effects in plan order, so outputs, the ledger entry
+  sequence (``virtual_ms`` is a float sum), the span tree and resilience
+  behaviour are byte-identical to an inline run.
+
+Either way each executed atom passes through the same plan-order step,
+:meth:`ConcurrentAtomScheduler._step`, which owns the bookkeeping.
 
 Determinism by journal + replay
 -------------------------------
@@ -21,12 +33,12 @@ journal — and touches no coordinator state.  The coordinator then
   (:meth:`Tracer.graft`), advancing the virtual clock exactly as live
   charging would have;
 * shard ledgers are merged entry-by-entry in plan order, so the main
-  ledger's entry sequence — and therefore ``virtual_ms``, a float sum —
-  is identical to a sequential run at any parallelism;
+  ledger's entry sequence is identical to an inline run at any
+  parallelism;
 * health-tracker mutations (success/failure/advance) recorded by the
   worker's journal are applied to the real
   :class:`~repro.core.resilience.HealthTracker` in order, so circuit
-  breakers evolve exactly as they would sequentially;
+  breakers evolve exactly as they would inline;
 * counters/histograms are folded in via ``MetricsRegistry.merge_from``.
 
 Channels, by contrast, are published at *completion* (out of order) so
@@ -40,7 +52,9 @@ shared counters, and committed during replay.  A failure surfaces at
 replay in plan order; the scheduler then drains in-flight work, discards
 (unpublishes, rolls back) every speculative execution at a higher index,
 and re-raises for the executor's failover ladder — leaving all counters
-exactly where a sequential run's failure would have left them.
+exactly where an inline run's failure would have left them.  An
+after-atom hook that cuts the segment (adaptive re-planning) discards
+the speculative suffix the same way.
 
 Loop atoms are *numbering barriers*: their bodies consume ordinals
 dynamically, so a loop runs inline on the coordinator once everything
@@ -64,7 +78,7 @@ made against shared objects — the failure injector's attempt counts and
 log lines, and listener events — shipped as deltas and applied by the
 coordinator at completion.  Replay is unchanged, so ledger sequence,
 ``virtual_ms``, span shape and outputs are byte-identical across
-sequential, thread and process execution at any parallelism.
+inline, thread and process execution at any parallelism.
 
 Shared-memory segment lifetime is coordinator-owned and pessimistic:
 output segment names are registered *before* dispatch, refcount release
@@ -78,12 +92,13 @@ a child against inherited registry state.
 Channel refcounting
 -------------------
 
-When failover is disabled (materialised channels are not needed for
-suffix re-planning), the scheduler counts each hand-off's consumers at
-plan time and drops the payload (:meth:`CollectionChannel.release`) when
-the last consumer finishes — bounding peak memory to the live frontier
-instead of the whole run's intermediates.  Collect-sink channels are
-never released.
+When materialised channels are not needed later — failover disabled, no
+checkpoint attached, no after-atom hook installed — the scheduler counts
+each hand-off's consumers at plan time and drops the payload
+(:meth:`CollectionChannel.release`) once the last consumer has passed
+its plan-order step, bounding peak memory to the live frontier instead
+of the whole run's intermediates.  Collect-sink channels are never
+released.
 
 Critical-path clock
 -------------------
@@ -124,18 +139,21 @@ from repro.core.channels import (
 from repro.core.execution.plan import ExecutionPlan, LoopAtom, TaskAtom
 from repro.core.listeners import ExecutionEvent, RecordingListener
 from repro.core.metrics import ExecutionMetrics
+from repro.core.observability.spans import Tracer
 from repro.core.resilience import BREAKER_CLOSED
+from repro.core.runtime import RuntimeContext
 from repro.errors import AtomExhaustedError, ExecutionError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.executor import Executor
-    from repro.core.observability.spans import Span, Tracer
-    from repro.core.runtime import RuntimeContext
+    from repro.core.observability.spans import Span
 
 __all__ = [
     "ConcurrentAtomScheduler",
     "CriticalPath",
+    "SegmentCut",
     "atom_dependencies",
+    "shard_runtime",
 ]
 
 #: thread-name prefix for pool workers (worker ids are parsed off it)
@@ -144,10 +162,16 @@ _WORKER_PREFIX = "repro-atom"
 #: per-process counter distinguishing scheduler runs in segment names
 _SHM_NONCE = itertools.count(1)
 
-_PENDING = 0
-_RUNNING = 1
-_DONE = 2
-_REPLAYED = 3
+
+class SegmentCut(Exception):
+    """Control flow, not a failure: the executor's after-atom hook asked
+    for the plan tail to be re-planned.  Atoms up to and including
+    ``index`` have passed their plan-order step; everything speculatively
+    executed beyond it has been discarded."""
+
+    def __init__(self, index: int) -> None:
+        super().__init__(f"segment cut after atom index {index}")
+        self.index = index
 
 
 def atom_dependencies(atom: TaskAtom | LoopAtom) -> set[int]:
@@ -163,11 +187,10 @@ def atom_dependencies(atom: TaskAtom | LoopAtom) -> set[int]:
 class CriticalPath:
     """Tracks per-atom virtual start/finish along channel dependencies.
 
-    Shared by the sequential and concurrent execution paths so
     ``metrics.makespan_ms`` means the same thing at any parallelism: the
     virtual time of the longest dependency chain, with coordinator
-    overheads (startup, failover re-planning) serializing before the
-    atoms that follow them.
+    overheads (startup, re-planning) serializing before the atoms that
+    follow them.
     """
 
     def __init__(self) -> None:
@@ -251,29 +274,26 @@ class _JournalHealth:
                 health.advance(arg)
 
 
-class _WorkerRuntime:
-    """The slice of a RuntimeContext a worker thread may see.
+def shard_runtime(base: RuntimeContext, tracer, health) -> RuntimeContext:
+    """Runtime clone for an ``execute_atom`` call that must not write the
+    live trace: a worker-run atom, or a deadline-guarded attempt.
 
-    Shares the read-mostly services (catalog, failure injector, source
-    cache) and privatises everything a worker must not contend on: the
-    tracer (a per-atom shard), health (a journal), loop-state bindings
-    and the checkpoint (checkpointing implies sequential execution).
+    Shares what a platform legitimately needs — catalog, failure
+    injector, bound loop state, the source cache — but carries a private
+    shard ``tracer`` (the platform wires its atom ledger to
+    ``runtime.tracer``; an abandoned deadline zombie keeps writing into
+    a tracer nobody reads), the caller's ``health`` (a worker passes a
+    :class:`_JournalHealth`, a deadline guard the live tracker) and no
+    checkpoint or journal.  Loop state is only ever bound while a loop
+    runs live with nothing in flight, so workers see it empty.
     """
-
-    __slots__ = (
-        "catalog", "failure_injector", "tracer", "checkpoint", "health",
-        "bound_sources", "source_cache", "caching_enabled",
+    clone = RuntimeContext(
+        base.catalog, base.failure_injector, health=health, tracer=tracer
     )
-
-    def __init__(self, base: "RuntimeContext", tracer, health) -> None:
-        self.catalog = base.catalog
-        self.failure_injector = base.failure_injector
-        self.tracer = tracer
-        self.checkpoint = None
-        self.health = health
-        self.bound_sources: dict[int, list[Any]] = {}
-        self.source_cache = base.source_cache
-        self.caching_enabled = False
+    clone.bound_sources = base.bound_sources
+    clone.source_cache = base.source_cache
+    clone.caching_enabled = base.caching_enabled
+    return clone
 
 
 @dataclass
@@ -281,7 +301,7 @@ class _AtomJournal:
     """Everything one worker-executed atom produced, awaiting replay."""
 
     index: int
-    atom: TaskAtom
+    atom: "TaskAtom | None"  # None only while crossing a process boundary
     metrics: ExecutionMetrics
     health: _JournalHealth
     shard: "Tracer | None"
@@ -302,27 +322,19 @@ class _AtomJournal:
 class _ProcessResult:
     """One worker *process*'s completed atom, in picklable form.
 
-    The process-mode twin of :class:`_AtomJournal`: same journal payload
-    (shard tracer, metrics, health ops — all plain data), but channels
-    travel as transport tuples (``("shm", descriptor)`` for columnar
-    outputs exported to shared memory, ``("raw", channel)`` for pickled
-    row channels), errors are stripped of unpicklable attachments
-    (``AtomExhaustedError.atom`` drags UDF closures; the coordinator
-    reattaches ``plan.atoms[index]``), and the mutations a thread
-    worker would have made against shared objects ride along as deltas:
-    injector attempt counts + log lines, and listener events.
+    ``journal`` is the :class:`_AtomJournal` the worker built, minus
+    what cannot cross a pickle: ``atom`` (and ``error.atom``) drag UDF
+    closures and are reattached from ``plan.atoms[index]`` by the
+    coordinator, and channels travel separately as transport tuples
+    (``("shm", descriptor)`` for columnar outputs exported to shared
+    memory, ``("raw", channel)`` for pickled row channels).  The
+    mutations a thread worker would have made against shared objects
+    ride along as deltas: injector attempt counts + log lines, and
+    listener events.
     """
 
-    index: int
-    worker: int
-    slot: int
-    ordinal: int | None
-    metrics: ExecutionMetrics
-    health: _JournalHealth
-    shard: "Tracer | None"
+    journal: _AtomJournal
     produced: list[tuple[int, tuple]]
-    error: BaseException | None
-    error_was_exhausted: bool
     injector_attempts: dict[int, int]
     injector_log: list[tuple[int, str | None, str]]
     events: list[ExecutionEvent]
@@ -337,6 +349,7 @@ class _ThreadBackend:
 
     def __init__(self, scheduler: "ConcurrentAtomScheduler") -> None:
         self._scheduler = scheduler
+        self._done: "queue.Queue[_AtomJournal]" = queue.Queue()
         self._pool = ThreadPoolExecutor(
             max_workers=scheduler.parallelism,
             thread_name_prefix=_WORKER_PREFIX,
@@ -347,12 +360,28 @@ class _ThreadBackend:
         slot: int,
     ) -> None:
         self._pool.submit(
-            self._scheduler._job, index, atom, ordinal, token, slot,
-            time.perf_counter(),
+            self._job, index, ordinal, token, slot, time.perf_counter()
+        )
+
+    def _job(
+        self, index: int, ordinal: int | None, token: int, slot: int,
+        submitted_at: float,
+    ) -> None:
+        thread_name = threading.current_thread().name
+        try:
+            worker = int(thread_name.rsplit("_", 1)[1])
+        except (IndexError, ValueError):  # pragma: no cover - defensive
+            worker = 0
+        scheduler = self._scheduler
+        self._done.put(
+            scheduler._run_shard(
+                index, ordinal, token, slot, worker, submitted_at,
+                scheduler.channels,
+            )
         )
 
     def next_result(self) -> _AtomJournal:
-        return self._scheduler._done_q.get()
+        return self._done.get()
 
     def shutdown(self) -> None:
         self._pool.shutdown(wait=True)
@@ -434,11 +463,13 @@ class _ProcessBackend:
 # the scheduler
 # ----------------------------------------------------------------------
 class ConcurrentAtomScheduler:
-    """Runs one plan segment's atoms concurrently, replaying in order.
+    """Drives one top-level plan segment: inline at width 1, dispatched
+    with plan-order replay above.
 
-    One instance per top-level plan (a fresh one after every failover
-    re-plan); the executor owns retries, movement pricing and failover —
-    the scheduler owns dispatch, journals, replay and the critical path.
+    One instance per segment (a fresh one after every failover or
+    adaptive re-plan); the executor owns retries, movement pricing and
+    segment replacement — the scheduler owns dispatch, journals, replay,
+    the per-atom bookkeeping and the critical path.
     """
 
     def __init__(
@@ -450,7 +481,6 @@ class ConcurrentAtomScheduler:
         metrics: ExecutionMetrics,
         models: dict[str, Any],
         cpath: CriticalPath,
-        parallelism: int,
         start: int = 0,
     ) -> None:
         self.executor = executor
@@ -460,7 +490,7 @@ class ConcurrentAtomScheduler:
         self.metrics = metrics
         self.models = models
         self.cpath = cpath
-        self.parallelism = max(2, parallelism)
+        self.parallelism = executor.parallelism
         #: "thread" or "process" — which backend runs the pure computation
         self.execution_mode = getattr(executor, "execution_mode", "thread")
         self.tracer = metrics.ledger.tracer
@@ -468,22 +498,59 @@ class ConcurrentAtomScheduler:
             self.tracer.current if self.tracer is not None else None
         )
         #: durable run journal (None when the run is not journaled);
-        #: committed by the coordinator at replay, in plan order.
+        #: committed by the coordinator at the plan-order step.
         self._journal = executor._active_journal(runtime)
 
         atoms = plan.atoms
         n = len(atoms)
+        #: whether every atom runs live on the coordinator (the module
+        #: docstring has the rule).  Decided by the *plan*, never the
+        #: resumed suffix length: shard grafts group v-clock additions
+        #: differently from live charging, and resume promises
+        #: bit-identical accounting.
+        self._inline = (
+            self.parallelism == 1
+            or n <= 1
+            or (runtime.checkpoint is not None and self._journal is None)
+        )
         self._deps = [atom_dependencies(atom) for atom in atoms]
-        self._state = [_PENDING] * n
         # ``start`` atoms were restored from the run journal on resume:
         # their channels are already published, their effects replayed.
-        for index in range(min(start, n)):
-            self._state[index] = _REPLAYED
+        self._replay_cursor = min(start, n)
         self._journals: dict[int, _AtomJournal] = {}
         self._published: dict[int, list[int]] = {}
-        self._replay_cursor = min(start, n)
         self._inflight = 0
-        self._done_q: "queue.Queue[_AtomJournal]" = queue.Queue()
+
+        # --- process-wide admission (serving) ------------------------------
+        # When a PlatformSlotPool is installed on the executor, every
+        # atom additionally draws a slot from the *shared* budget, so
+        # concurrent queries cannot together exceed a platform's cap.
+        self._slot_pool = getattr(executor, "slot_pool", None)
+
+        # --- channel refcounting -------------------------------------------
+        # Only safe when materialised channels are not needed later:
+        # they bound the suffix a failover or an after-atom cut
+        # re-plans, and an attached checkpoint store may be asked for
+        # them again.
+        self._refcount_enabled = (
+            not executor.failover
+            and executor._after_atom is None
+            and runtime.checkpoint is None
+        )
+        if self._refcount_enabled:
+            self._protected = {sink.id for sink in plan.collect_sinks}
+            self._consumers: dict[int, int] = {}
+            for deps in self._deps:
+                for op_id in deps:
+                    self._consumers[op_id] = self._consumers.get(op_id, 0) + 1
+
+        if self._inline:
+            return  # everything below is dispatch state
+
+        #: indices handed to the backend (in flight, or awaiting replay
+        #: in ``_journals``)
+        self._dispatched: set[int] = set()
+        self._pool_starved: set[str] = set()
 
         # --- per-platform concurrency slots -------------------------------
         self._slot_free: dict[str, list[int]] = {}
@@ -494,31 +561,9 @@ class ConcurrentAtomScheduler:
             ))
             self._slot_free.setdefault(platform.name, list(range(cap)))
 
-        # --- process-wide admission (serving) ------------------------------
-        # When a PlatformSlotPool is installed on the executor, every
-        # dispatch additionally draws a slot from the *shared* budget, so
-        # concurrent queries cannot together exceed a platform's cap.
-        self._slot_pool = getattr(executor, "slot_pool", None)
-        self._pool_starved: set[str] = set()
-
         # --- predict-and-commit counters ----------------------------------
         self._pred_ordinal: list[int | None] = [None] * n
         self._pred_token: list[int] = [0] * n
-
-        # --- channel refcounting -------------------------------------------
-        # Only safe when materialised channels are not needed later for
-        # failover suffix re-planning, and when no checkpoint is
-        # attached: checkpoint saves happen at *replay* (plan order), so
-        # a consumer completing early must not release a producer's
-        # channel before the producer's ``_save_atom`` reads it.
-        self._refcount_enabled = (
-            not executor.failover and runtime.checkpoint is None
-        )
-        self._protected = {sink.id for sink in plan.collect_sinks}
-        self._consumers: dict[int, int] = {}
-        for deps in self._deps:
-            for op_id in deps:
-                self._consumers[op_id] = self._consumers.get(op_id, 0) + 1
 
         # --- process-mode shared-memory bookkeeping ------------------------
         #: segment names this run registered (unlinked in run()'s finally)
@@ -548,8 +593,8 @@ class ConcurrentAtomScheduler:
 
     def _commit_counters(self, journal: _AtomJournal) -> None:
         """Advance the shared counters for one replayed atom execution —
-        exactly what the sequential path's ``next_atom()``/``_atom_seq``
-        would have consumed."""
+        exactly what a live run's ``next_atom()``/``_atom_seq`` would
+        have consumed."""
         injector = self.runtime.failure_injector
         if injector is not None:
             injector.skip(1)
@@ -559,9 +604,13 @@ class ConcurrentAtomScheduler:
     # main loop
     # ------------------------------------------------------------------
     def run(self) -> None:
-        """Execute every atom; raises exactly what sequential would."""
+        """Execute every atom; raises exactly what an inline run would."""
         n = len(self.plan.atoms)
         if n == 0:
+            return
+        if self._inline:
+            for index in range(self._replay_cursor, n):
+                self._step(index)
             return
         self.cpath.sync_overhead(self.metrics.ledger.total_ms)
         self._recompute_predictions(self._replay_cursor)
@@ -585,7 +634,10 @@ class ConcurrentAtomScheduler:
                 if isinstance(head, LoopAtom) and self._deps_ready(
                     self._replay_cursor
                 ):
-                    self._run_loop_inline(self._replay_cursor)
+                    self._step(self._replay_cursor)
+                    # The loop consumed ordinals/tokens live; re-base
+                    # predictions for everything after the barrier.
+                    self._recompute_predictions(self._replay_cursor)
                     continue
                 if self._slot_pool is not None and self._pool_starved:
                     # Not a wiring deadlock: every dispatchable atom is
@@ -612,17 +664,16 @@ class ConcurrentAtomScheduler:
     def _deps_ready(self, index: int) -> bool:
         return all(op_id in self.channels for op_id in self._deps[index])
 
-    def _dispatch_ready(self, backend) -> int:
-        """Submit every dispatchable task atom; returns how many."""
+    def _dispatch_ready(self, backend) -> None:
+        """Submit every dispatchable task atom."""
         atoms = self.plan.atoms
-        submitted = 0
         for index in range(self._replay_cursor, len(atoms)):
             atom = atoms[index]
             if isinstance(atom, LoopAtom):
                 # Barrier: nothing beyond an unfinished loop may run
                 # (its body consumes ordinals dynamically).
                 break
-            if self._state[index] != _PENDING:
+            if index in self._dispatched:
                 continue
             if not self._deps_ready(index):
                 continue
@@ -636,61 +687,53 @@ class ConcurrentAtomScheduler:
                 self._pool_starved.add(atom.platform.name)
                 continue
             slot = free.pop(0)
-            self._state[index] = _RUNNING
+            self._dispatched.add(index)
             self._inflight += 1
-            submitted += 1
             backend.submit(
                 index, atom, self._pred_ordinal[index],
                 self._pred_token[index], slot,
             )
-        return submitted
 
     # ------------------------------------------------------------------
-    # worker side (runs on pool threads)
+    # worker side (runs on pool threads / in worker processes)
     # ------------------------------------------------------------------
-    def _job(
+    def _run_shard(
         self,
         index: int,
-        atom: TaskAtom,
         ordinal: int | None,
         token: int,
         slot: int,
+        worker: int,
         submitted_at: float,
-    ) -> None:
+        inputs,
+    ) -> _AtomJournal:
+        """Run one task atom against a private shard — tracer, metrics,
+        health journal, runtime — reading its inputs from ``inputs``."""
         # Dispatch-to-start latency: how long the atom sat in the pool's
         # queue before a worker picked it up.  Recorded on the span (and
         # the atom_queue_wait_ms histogram) only when profiling is on.
         queue_wait_ms = (time.perf_counter() - submitted_at) * 1e3
-        thread_name = threading.current_thread().name
-        try:
-            worker = int(thread_name.rsplit("_", 1)[1])
-        except (IndexError, ValueError):  # pragma: no cover - defensive
-            worker = 0
-        shard = None
-        if self.tracer is not None:
-            from repro.core.observability.spans import Tracer
-
-            shard = Tracer()
+        atom = self.plan.atoms[index]
+        shard = Tracer() if self.tracer is not None else None
         wmetrics = ExecutionMetrics(
             registry=shard.registry if shard is not None else None
         )
         wmetrics.ledger.tracer = shard
         health = _JournalHealth()
-        wruntime = _WorkerRuntime(self.runtime, shard, health)
         journal = _AtomJournal(
             index=index, atom=atom, metrics=wmetrics, health=health,
             shard=shard, worker=worker, slot=slot, ordinal=ordinal,
         )
-        overlay: dict[int, CollectionChannel] = journal.produced
-        channels_view = ChainMap(overlay, self.channels)
         try:
             self.executor._run_task_atom(
-                atom, channels_view, wruntime, wmetrics, self.models,
-                ordinal=ordinal, token=token, queue_wait_ms=queue_wait_ms,
+                atom, ChainMap(journal.produced, inputs),
+                shard_runtime(self.runtime, shard, health), wmetrics,
+                self.models, ordinal=ordinal, token=token,
+                queue_wait_ms=queue_wait_ms,
             )
         except BaseException as error:  # replayed (and re-raised) in order
             journal.error = error
-        self._done_q.put(journal)
+        return journal
 
     # ------------------------------------------------------------------
     # process mode: task build (coordinator) and job loop (workers)
@@ -750,12 +793,8 @@ class ConcurrentAtomScheduler:
         order under concurrency; live mid-atom ordering is best-effort
         by contract).
         """
-        atom = self.plan.atoms[result.index]
-        journal = _AtomJournal(
-            index=result.index, atom=atom, metrics=result.metrics,
-            health=result.health, shard=result.shard, worker=result.worker,
-            slot=result.slot, ordinal=result.ordinal,
-        )
+        journal = result.journal
+        journal.atom = self.plan.atoms[journal.index]
         for op_id, (kind, payload) in result.produced:
             if kind == "shm":
                 journal.produced[op_id] = ShmColumnarChannel(
@@ -763,12 +802,8 @@ class ConcurrentAtomScheduler:
                 )
             else:
                 journal.produced[op_id] = payload
-        error = result.error
-        if error is not None and result.error_was_exhausted and isinstance(
-            error, AtomExhaustedError
-        ):
-            error.atom = atom
-        journal.error = error
+        if isinstance(journal.error, AtomExhaustedError):
+            journal.error.atom = journal.atom
         injector = self.runtime.failure_injector
         if injector is not None:
             if result.injector_attempts:
@@ -807,22 +842,10 @@ class ConcurrentAtomScheduler:
                 os._exit(code)
 
     def _process_job(self, worker: int, task: tuple) -> _ProcessResult:
-        """The process twin of :meth:`_job`: run one atom against private
-        shards, then package everything picklable for the coordinator."""
+        """Run one atom against private shards in a worker process, then
+        package everything picklable for the coordinator."""
         index, ordinal, token, slot, submitted_at, inputs, out_names = task
-        queue_wait_ms = (time.perf_counter() - submitted_at) * 1e3
         atom = self.plan.atoms[index]
-        shard = None
-        if self.tracer is not None:
-            from repro.core.observability.spans import Tracer
-
-            shard = Tracer()
-        wmetrics = ExecutionMetrics(
-            registry=shard.registry if shard is not None else None
-        )
-        wmetrics.ledger.tracer = shard
-        health = _JournalHealth()
-        wruntime = _WorkerRuntime(self.runtime, shard, health)
         injector = self.runtime.failure_injector
         attempts_before = (
             injector.snapshot_attempts() if injector is not None else {}
@@ -839,20 +862,13 @@ class ConcurrentAtomScheduler:
                 if kind == "shm"
                 else payload
             )
-        produced: dict[int, CollectionChannel] = {}
-        channels_view = ChainMap(produced, local)
-        error: BaseException | None = None
-        try:
-            self.executor._run_task_atom(
-                atom, channels_view, wruntime, wmetrics, self.models,
-                ordinal=ordinal, token=token, queue_wait_ms=queue_wait_ms,
-            )
-        except BaseException as failure:  # replayed/re-raised in order
-            error = failure
+        journal = self._run_shard(
+            index, ordinal, token, slot, worker, submitted_at, local
+        )
         transported: list[tuple[int, tuple]] = []
-        if error is None:
+        if journal.error is None:
             try:
-                for op_id, channel in produced.items():
+                for op_id, channel in journal.produced.items():
                     if (
                         isinstance(channel, ColumnarChannel)
                         and not channel.released
@@ -867,14 +883,14 @@ class ConcurrentAtomScheduler:
                             )
 
                             record_shm_bytes(
-                                wmetrics.registry, descriptor.nbytes,
-                                atom.platform.name,
+                                journal.metrics.registry,
+                                descriptor.nbytes, atom.platform.name,
                             )
                     else:
                         transported.append((op_id, ("raw", channel)))
             except BaseException as failure:  # pragma: no cover - defensive
                 transported = []
-                error = ExecutionError(
+                journal.error = ExecutionError(
                     f"atom #{atom.id}: shared-memory export failed: "
                     f"{failure}"
                 )
@@ -887,12 +903,12 @@ class ConcurrentAtomScheduler:
                 if attempts_before.get(key) != count
             }
             log_delta = injector.log[log_mark:]
+        journal.atom = None
+        journal.produced = {}
+        journal.error = self._strip_error(journal.error)
         return _ProcessResult(
-            index=index, worker=worker, slot=slot, ordinal=ordinal,
-            metrics=wmetrics, health=health, shard=shard,
+            journal=journal,
             produced=transported,
-            error=self._strip_error(error),
-            error_was_exhausted=isinstance(error, AtomExhaustedError),
             injector_attempts=attempts_delta,
             injector_log=log_delta,
             events=recorder.events,
@@ -945,7 +961,6 @@ class ConcurrentAtomScheduler:
     # ------------------------------------------------------------------
     def _on_complete(self, journal: _AtomJournal) -> None:
         self._inflight -= 1
-        self._state[journal.index] = _DONE
         self._journals[journal.index] = journal
         insort(self._slot_free[journal.atom.platform.name], journal.slot)
         if self._slot_pool is not None:
@@ -954,8 +969,6 @@ class ConcurrentAtomScheduler:
             # Publish eagerly so dependents can dispatch before replay.
             self.channels.update(journal.produced)
             self._published[journal.index] = list(journal.produced)
-        if journal.error is None:
-            self._consume_inputs(journal.index)
 
     def _consume_inputs(self, index: int) -> None:
         """Refcount: the atom has finished reading its input channels."""
@@ -970,28 +983,88 @@ class ConcurrentAtomScheduler:
                     channel.release()
 
     def _replay_prefix(self) -> None:
-        atoms = self.plan.atoms
-        while (
-            self._replay_cursor < len(atoms)
-            and self._state[self._replay_cursor] == _DONE
-        ):
-            journal = self._journals.pop(self._replay_cursor)
-            self._replay_one(journal)
-            self._state[self._replay_cursor] = _REPLAYED
-            self._replay_cursor += 1
+        while self._replay_cursor in self._journals:
+            self._step(
+                self._replay_cursor, self._journals.pop(self._replay_cursor)
+            )
 
-    def _replay_one(self, journal: _AtomJournal) -> None:
-        atom = journal.atom
+    def _step(self, index: int, journal: _AtomJournal | None = None) -> None:
+        """The plan-order step for one executed atom — the one place the
+        per-atom bookkeeping is written.
+
+        journal mark → (un-journaled positional restore | blocking
+        slot-pool acquire → live run → release | graft of the shard a
+        worker ran) → checkpoint save → journal commit → critical-path
+        record → refcount consume → after-atom hook.  Without
+        ``journal`` the atom runs live on the coordinator (every atom of
+        an inline segment; loop barriers otherwise): everything before
+        it has passed this step and nothing is in flight, so the shared
+        counters, health tracker and tracer are exactly where they
+        belong and it consumes them directly.
+        """
+        executor, runtime, metrics = self.executor, self.runtime, self.metrics
+        channels, ledger = self.channels, metrics.ledger
+        atom = self.plan.atoms[index]
         # Mark *before* any effect lands so the journal record captures
         # exactly this atom's slice of ledger/span/observation state.
-        mark = (
-            self.executor._journal_mark(self.metrics)
-            if self._journal is not None
-            else None
-        )
+        mark = executor._journal_mark(metrics)
+        restored = False
+        if journal is not None:
+            self._graft(journal)
+        since = ledger.total_ms
+        if journal is None:
+            if self._inline:
+                self.cpath.sync_overhead(since)
+            # Positional restore serves un-journaled reruns; journaled
+            # runs restore only through resume (which validates the
+            # journal prefix), keeping behaviour parallelism-independent.
+            restored = (
+                runtime.checkpoint is not None
+                and self._journal is None
+                and executor._restore_atom(
+                    index, atom, channels, runtime, metrics
+                )
+            )
+            if not restored:
+                pool = self._slot_pool
+                if pool is not None:
+                    # Shared admission: top-level atoms draw from the
+                    # process-wide per-platform budget (serving daemon).
+                    pool.acquire(atom.platform.name)
+                try:
+                    executor._run_atom(
+                        atom, channels, runtime, metrics, self.models
+                    )
+                finally:
+                    if pool is not None:
+                        pool.release(atom.platform.name)
+        if not restored:
+            if runtime.checkpoint is not None:
+                executor._save_atom(index, atom, channels, runtime, metrics)
+            if self._journal is not None:
+                executor._journal_commit(
+                    self._journal, mark, index, atom, channels, runtime,
+                    metrics,
+                )
+        # A live atom's cost is its ledger slice; a grafted one's is the
+        # shard total plus the save/commit charges (``0.0 + x == x``, so
+        # one expression keeps both float groupings).
+        shard_ms = journal.cost_ms if journal is not None else 0.0
+        self.cpath.record(atom, shard_ms + ledger.total_ms - since)
+        self._replay_cursor = index + 1
+        self._consume_inputs(index)
+        hook = executor._after_atom
+        if hook is not None and hook(self.plan, index, channels):
+            self._abort(discard_from=index + 1)
+            raise SegmentCut(index)
+
+    def _graft(self, journal: _AtomJournal) -> None:
+        """Land one worker-run atom's effects on the coordinator state,
+        or surface its failure — in plan order either way."""
+        atom = journal.atom
         # Authoritative fail-fast quarantine check, with the health state
-        # a sequential run would have at this exact point.  A rejected
-        # atom never ran sequentially: discard its journal wholesale.
+        # an inline run would have at this exact point.  A rejected atom
+        # never ran inline: discard its journal wholesale.
         try:
             self.executor._reject_if_quarantined(atom, self.runtime)
         except AtomExhaustedError as rejection:
@@ -1025,26 +1098,10 @@ class ConcurrentAtomScheduler:
         self._commit_counters(journal)
         if journal.error is not None:
             # The failed execution's charges/health/counters are all in —
-            # identical to a sequential failure — now discard everything
+            # identical to an inline failure — now discard everything
             # speculatively executed beyond it and surface the failure.
             self._abort(discard_from=journal.index + 1)
             raise journal.error
-        # Checkpoint save and journal commit happen here, at the
-        # deterministic replay step — same plan-order point (and same
-        # relative charge position) as the sequential path.
-        extra = self.metrics.ledger.total_ms
-        if self.runtime.checkpoint is not None:
-            self.executor._save_atom(
-                journal.index, atom, self.channels, self.runtime, self.metrics
-            )
-        if self._journal is not None:
-            self.executor._journal_commit(
-                self._journal, mark, journal.index, atom,
-                self.channels, self.runtime, self.metrics,
-            )
-        self.cpath.record(
-            atom, journal.cost_ms + self.metrics.ledger.total_ms - extra
-        )
 
     # ------------------------------------------------------------------
     # failure: drain, discard, roll back
@@ -1055,18 +1112,10 @@ class ConcurrentAtomScheduler:
         Discarded executions are unpublished (their channels removed)
         and their predicted injector ordinals rolled back, so the
         failover re-plan — and its re-executions — see exactly the
-        state a sequential run's failure would have left.
+        state an inline run's failure would have left.
         """
         while self._inflight:
-            journal = self._backend.next_result()
-            self._inflight -= 1
-            self._state[journal.index] = _DONE
-            self._journals[journal.index] = journal
-            if self._slot_pool is not None:
-                self._slot_pool.release(journal.atom.platform.name)
-            if journal.error is None and journal.produced:
-                self._published[journal.index] = list(journal.produced)
-                self.channels.update(journal.produced)
+            self._on_complete(self._backend.next_result())
         injector = self.runtime.failure_injector
         discarded_ordinals: list[int] = []
         for index, journal in list(self._journals.items()):
@@ -1079,48 +1128,3 @@ class ConcurrentAtomScheduler:
             del self._journals[index]
         if injector is not None and discarded_ordinals:
             injector.reset_attempts(discarded_ordinals)
-
-    # ------------------------------------------------------------------
-    # loop atoms: inline, at a barrier
-    # ------------------------------------------------------------------
-    def _run_loop_inline(self, index: int) -> None:
-        """Run a loop atom live on the coordinator.
-
-        Everything before it has been replayed and nothing is in
-        flight, so the shared counters, health tracker and tracer are
-        exactly where a sequential run would have them; the loop (and
-        its dynamically-numbered body atoms) executes through the
-        ordinary sequential machinery.
-        """
-        atom = self.plan.atoms[index]
-        before = self.metrics.ledger.total_ms
-        mark = (
-            self.executor._journal_mark(self.metrics)
-            if self._journal is not None
-            else None
-        )
-        if self._slot_pool is not None:
-            self._slot_pool.acquire(atom.platform.name)
-        try:
-            self.executor._run_loop_atom(
-                atom, self.channels, self.runtime, self.metrics, self.models
-            )
-        finally:
-            if self._slot_pool is not None:
-                self._slot_pool.release(atom.platform.name)
-        if self.runtime.checkpoint is not None:
-            self.executor._save_atom(
-                index, atom, self.channels, self.runtime, self.metrics
-            )
-        if self._journal is not None:
-            self.executor._journal_commit(
-                self._journal, mark, index, atom,
-                self.channels, self.runtime, self.metrics,
-            )
-        self._state[index] = _REPLAYED
-        self._replay_cursor = index + 1
-        self.cpath.record(atom, self.metrics.ledger.total_ms - before)
-        self._consume_inputs(index)
-        # The loop consumed ordinals/tokens live; re-base predictions
-        # for everything after the barrier.
-        self._recompute_predictions(index + 1)

@@ -658,19 +658,8 @@ class TestNativeConfig:
             config_epoch(columnar=False)
         )
 
-    def test_env_default_is_on_with_columnar(self, monkeypatch):
-        monkeypatch.delenv("REPRO_COLUMNAR_NATIVE", raising=False)
+    def test_env_default_is_on_with_columnar(self):
         assert RheemContext(columnar=True).executor.columnar_native is True
-
-    @pytest.mark.parametrize("raw", ["0", "false", "no", "off"])
-    def test_env_opt_out(self, monkeypatch, raw):
-        monkeypatch.setenv("REPRO_COLUMNAR_NATIVE", raw)
-        assert RheemContext(columnar=True).executor.columnar_native is False
-
-    def test_explicit_flag_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_COLUMNAR_NATIVE", "0")
-        ctx = RheemContext(columnar=True, columnar_native=True)
-        assert ctx.executor.columnar_native is True
 
 
 # ----------------------------------------------------------------------

@@ -423,17 +423,19 @@ class TestFaultInjectionParity:
         execution = branching_execution()
         config = dict(rate=0.3, seed=seed)
         sequential = self._outcome(execution, 1, "thread", config)
+        inline = self._outcome(execution, 1, "process", config)
         threads = self._outcome(execution, 4, "thread", config)
         processes = self._outcome(execution, 4, "process", config)
-        assert processes == sequential == threads
+        assert processes == sequential == threads == inline
 
     @pytest.mark.parametrize("seed", range(3))
     def test_straggler_sweep_identical_bill(self, seed):
         execution = branching_execution()
         config = dict(slowdown_rate=0.5, slowdown_ms=7.0, seed=seed)
         sequential = self._outcome(execution, 1, "thread", config)
+        inline = self._outcome(execution, 1, "process", config)
         processes = self._outcome(execution, 4, "process", config)
-        assert processes == sequential
+        assert processes == sequential == inline
         assert sequential[0] == "ok"
 
     def test_exhaustion_error_identical(self):
@@ -442,9 +444,10 @@ class TestFaultInjectionParity:
         execution = branching_execution()
         config = dict(failures={0: 99})
         sequential = self._outcome(execution, 1, "thread", config)
+        inline = self._outcome(execution, 1, "process", config)
         processes = self._outcome(execution, 4, "process", config)
         assert sequential[0] == "error"
-        assert processes == sequential
+        assert processes == sequential == inline
 
     def test_exhaustion_atom_reattached(self):
         execution = branching_execution()

@@ -122,10 +122,12 @@ class TestMakespan:
     def test_sequential_chain_makespan_equals_atom_time(self):
         """A linear chain has no overlap: makespan == serialized path."""
         ctx = RheemContext()
-        metrics = run(loop_execution(ctx), 4).metrics
-        assert metrics.makespan_ms == pytest.approx(
-            metrics.virtual_ms, rel=1e-9
-        )
+        execution = loop_execution(ctx)
+        for parallelism in (1, 4):
+            metrics = run(execution, parallelism).metrics
+            assert metrics.makespan_ms == pytest.approx(
+                metrics.virtual_ms, rel=1e-9
+            )
 
 
 class TestSpanEquivalence:
@@ -169,11 +171,13 @@ class TestSpanEquivalence:
             assert isinstance(span.attributes.get("slot"), int)
 
     def test_virtual_clock_reconciles_with_ledger(self):
-        tracer = Tracer()
-        result = run(branching_execution(), 4, tracer=tracer)
-        assert tracer.total_virtual_ms() == pytest.approx(
-            result.metrics.virtual_ms
-        )
+        execution = branching_execution()
+        for parallelism in (1, 4):
+            tracer = Tracer()
+            result = run(execution, parallelism, tracer=tracer)
+            assert tracer.total_virtual_ms() == pytest.approx(
+                result.metrics.virtual_ms
+            )
 
 
 class TestFaultInjectionSweep:
@@ -202,14 +206,15 @@ class TestFaultInjectionSweep:
         reference = run(execution, 1)
         total = reference.metrics.atoms_executed
         for position in range(total):
-            result = run(
-                execution, 4,
-                runtime=RuntimeContext(
-                    failure_injector=FailureInjector({position: 1})
-                ),
-            )
-            assert result.outputs == reference.outputs, position
-            assert result.metrics.retries == 1, position
+            for parallelism in (1, 4):
+                result = run(
+                    execution, parallelism,
+                    runtime=RuntimeContext(
+                        failure_injector=FailureInjector({position: 1})
+                    ),
+                )
+                assert result.outputs == reference.outputs, position
+                assert result.metrics.retries == 1, position
 
     @pytest.mark.parametrize("seed", range(6))
     def test_probabilistic_sweep_identical_outcomes(self, seed):
@@ -325,6 +330,31 @@ class TestChannelRefcounting:
         ctx.executor.execute(execution, RuntimeContext())
         assert released == []
 
+    def test_width_one_releases_under_the_same_policy(
+        self, monkeypatch, tmp_path
+    ):
+        """Refcounting is one policy at every width: an intermediate
+        hand-off is dropped inline too, and kept whenever a failover
+        re-plan or an attached checkpoint may still need it."""
+        from repro.core.checkpoint import CheckpointManager
+        from repro.storage import Catalog, LocalFsStore
+
+        released = self._spy(monkeypatch)
+        ctx = RheemContext()
+        execution = loop_execution(ctx)
+        reference = run(execution, 4).single
+        released.clear()
+        assert run(execution, 1).single == reference
+        assert released, "width 1 released no intermediate channel"
+        released.clear()
+        run(execution, 1, failover=True, task_optimizer=ctx.task_optimizer)
+        assert released == []
+        catalog = Catalog()
+        catalog.register_store(LocalFsStore(root=str(tmp_path)))
+        checkpoint = CheckpointManager(catalog, "localfs", "refcount")
+        run(execution, 1, runtime=RuntimeContext(checkpoint=checkpoint))
+        assert released == []
+
 
 class TestChannelUnit:
     def test_owned_list_adopted_without_copy(self):
@@ -397,3 +427,57 @@ class TestParallelismConfig:
     def test_context_passes_parallelism_through(self):
         ctx = RheemContext(parallelism=4)
         assert ctx.executor.parallelism == 4
+
+
+class TestAdaptiveThroughDriver:
+    """Adaptive runs are ordinary runs: same driver, spans, events and
+    width-independence, plus the after-atom cut."""
+
+    def test_traced_adaptive_run_is_an_ordinary_execution(self):
+        from repro.core.listeners import (
+            EXECUTION_FINISHED,
+            EXECUTION_STARTED,
+            RecordingListener,
+        )
+        from tests.core.test_progressive_adaptive import skewed_logical_plan
+
+        tracer = Tracer()
+        ctx = RheemContext(tracer=tracer)
+        recorder = RecordingListener()
+        ctx.executor.add_listener(recorder)
+        result, replans = ctx.execute_adaptive(skewed_logical_plan(ctx))
+        assert replans >= 1
+        assert [s.name for s in tracer.spans].count("execute") == 1
+        kinds = [event.kind for event in recorder.events]
+        assert kinds[0] == EXECUTION_STARTED
+        assert kinds[-1] == EXECUTION_FINISHED
+        assert 0 < result.metrics.makespan_ms <= result.metrics.virtual_ms
+
+    def test_adaptive_identical_at_any_width(self):
+        from repro.core.progressive import ProgressiveExecutor
+        from tests.core.test_progressive import misestimated_loop_plan
+
+        runs = {}
+        for parallelism in (1, 2):
+            ctx = RheemContext()
+            progressive = ProgressiveExecutor(ctx.task_optimizer)
+            progressive.parallelism = parallelism
+            tracer = Tracer()
+            result, replans = progressive.execute_progressively(
+                misestimated_loop_plan(ctx), RuntimeContext(tracer=tracer)
+            )
+            # width 2 really dispatches: worker-run atoms carry a stamp
+            assert (parallelism > 1) == any(
+                "worker" in span.attributes for span in tracer.spans
+            )
+            runs[parallelism] = (
+                replans,
+                result.single,
+                repr(result.metrics.virtual_ms),
+                [
+                    (e.label, repr(e.ms), e.platform)
+                    for e in result.metrics.ledger.entries
+                ],
+            )
+        assert runs[1][0] >= 1
+        assert runs[2] == runs[1]

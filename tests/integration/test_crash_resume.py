@@ -365,13 +365,6 @@ def test_resumed_run_injects_remaining_faults(tmp_path):
     assert result.metrics.retries == reference["retries"]
 
 
-def test_resume_env_variable(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_RESUME", "1")
-    assert RheemContext().executor.resume is True
-    monkeypatch.setenv("REPRO_RESUME", "0")
-    assert RheemContext().executor.resume is False
-
-
 # ----------------------------------------------------------------------
 # per-atom deadlines
 # ----------------------------------------------------------------------
@@ -397,12 +390,6 @@ class TestDeadlines:
             c.collection(data).map(lambda x: x * 2).filter(lambda x: x % 3)
         )
         assert build(ctx).collect() == build(reference).collect()
-
-    def test_deadline_env_variable(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DEADLINE_MS", "1500")
-        assert RheemContext().executor.deadline_ms == 1500.0
-        monkeypatch.delenv("REPRO_DEADLINE_MS")
-        assert RheemContext().executor.deadline_ms is None
 
     def test_deadline_kill_counted_in_registry(self):
         import time
