@@ -56,11 +56,11 @@ Commands:
       python -m repro calibration show
       python -m repro calibration reset
 
-* ``resume`` — continue a journaled run that crashed mid-plan: finished
-  atoms are replayed from the write-ahead journal (and their outputs
-  restored from the checkpoint store), only the missing suffix runs.
-  The resumed run's BENCH line is byte-identical to an uninterrupted
-  one::
+* ``resume`` — continue a journaled run that crashed mid-plan, rebuilding
+  the workload from the journal header: finished atoms are replayed from
+  the write-ahead journal (and their outputs restored from its payload
+  store), only the missing suffix runs.  The resumed run's BENCH line is
+  byte-identical to an uninterrupted one::
 
       python -m repro demo --journal runs/ --run-id r1 --crash-at 2
       python -m repro resume r1 --journal runs/
@@ -80,7 +80,9 @@ defaults to ``$REPRO_CALIBRATION_STORE`` or ``.repro-calibration.json``;
 ``REPRO_NO_CALIBRATION=1`` disables calibration entirely).
 
 ``demo`` additionally accepts the fault-tolerance flags: ``--journal
-DIR`` (durable write-ahead journal + atom checkpoints under DIR),
+DIR`` (durable write-ahead journal + atom output payloads under DIR;
+running again with the same DIR and run id resumes, or replays a
+completed run),
 ``--run-id ID``, ``--deadline-ms MS`` (per-atom wall budget; an overrun
 is charged to the ledger and escalated like a platform failure), and the
 chaos switches ``--crash-at N`` / ``--crash-mode {before,after,torn}``
@@ -182,9 +184,9 @@ def _add_journal_flags(subparser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="DIR",
         help=(
-            "record a durable write-ahead run journal and atom "
-            "checkpoints under DIR; a crashed run can be continued "
-            "with 'repro resume'"
+            "record a durable write-ahead run journal and atom output "
+            "payloads under DIR; a run over the same DIR and run id "
+            "resumes it (as does 'repro resume')"
         ),
     )
     subparser.add_argument(
@@ -280,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--journal",
         required=True,
         metavar="DIR",
-        help="directory holding the run's journal and checkpoints",
+        help="directory holding the run's journal and payload store",
     )
     _add_parallelism_flag(resume)
     _add_execution_mode_flag(resume)
@@ -631,9 +633,10 @@ def _journaled_runtime(
 ):
     """A RuntimeContext wired for durability under ``rundir``.
 
-    Checkpoints go to a LocalFsStore at ``rundir/ckpt`` (namespaced by
-    the run id), the write-ahead journal to ``rundir/<run_id>.journal``.
-    Returns ``(runtime, journal)``; the caller owns closing the journal.
+    The write-ahead journal goes to ``rundir/<run_id>.journal``, its
+    payload store to a LocalFsStore at ``rundir/ckpt`` (namespaced by
+    the run id).  Returns ``(runtime, journal)``; the caller owns
+    closing the journal.
     """
     from repro.core.checkpoint import CheckpointManager
     from repro.core.recovery import CrashInjector, RunJournal
@@ -645,14 +648,13 @@ def _journaled_runtime(
     catalog.register_store(
         LocalFsStore(root=os.path.join(rundir, "ckpt"))
     )
-    checkpoint = CheckpointManager(catalog, "localfs", plan_key=run_id)
     journal = RunJournal(
         os.path.join(rundir, f"{run_id}.journal"),
         run_id=run_id,
         workload=workload,
+        store=CheckpointManager(catalog, "localfs", plan_key=run_id),
     )
     runtime = RuntimeContext(
-        checkpoint=checkpoint,
         journal=journal,
         crash_injector=(
             CrashInjector(crash_at, mode=crash_mode)
@@ -669,9 +671,9 @@ def _print_bench(result, execution) -> None:
     ``digest`` fingerprints the result payload, ``virtual`` is the exact
     virtual-time repr, ``atoms`` counts the whole plan however it was
     satisfied — a resumed run must print the same line as an
-    uninterrupted one.  Journal replay already restores the metric
-    counters of the replayed prefix (``atoms_executed`` ends up at the
-    full-plan value), so only checkpoint skips need adding on top.
+    uninterrupted one.  Journal replay restores the metric counters of
+    the replayed prefix, so ``atoms_executed`` ends up at the full-plan
+    value either way.
     """
     import hashlib
 
@@ -679,8 +681,10 @@ def _print_bench(result, execution) -> None:
     digest = hashlib.sha256(
         repr(result.single).encode("utf-8")
     ).hexdigest()[:16]
-    atoms = int(metrics.atoms_executed + metrics.atoms_skipped)
-    print(f"BENCH digest={digest} virtual={metrics.virtual_ms!r} atoms={atoms}")
+    print(
+        f"BENCH digest={digest} virtual={metrics.virtual_ms!r} "
+        f"atoms={int(metrics.atoms_executed)}"
+    )
 
 
 def _journaled_demo(ctx: RheemContext, args) -> int:
@@ -737,7 +741,6 @@ def command_resume(args) -> int:
             "only 'demo' journals are resumable from the CLI"
         )
     ctx = RheemContext(
-        resume=True,
         parallelism=args.parallelism or header.get("parallelism") or None,
         execution_mode=(
             args.execution_mode or header.get("execution_mode") or None

@@ -1,27 +1,26 @@
-"""Checkpointed execution: resumable plans over the storage layer.
+"""The recoverable journal's payload store (paper §4.2).
 
-The Executor already retries failed atoms (paper §4.2, "coping with
-failures"); for failures that survive retries — or whole-process crashes
-— the :class:`CheckpointManager` persists every atom's boundary outputs
-to a storage platform through the catalog.  A re-execution of an
-equivalent plan restores finished atoms' channels from the checkpoint
-store and only runs what is missing.
+The Executor already retries failed atoms ("coping with failures"); for
+failures that survive retries — or whole-process crashes — a
+:class:`~repro.core.recovery.RunJournal` records every finished atom,
+and the :class:`CheckpointManager` it is given as ``store`` persists
+that atom's boundary outputs to a storage platform through the catalog.
+A later run over the same journal replays the finished atoms' channels
+from here and only runs what is missing.
 
-Checkpoint keys are *positional* (atom ordinal × output ordinal within
-the plan), not operator-id based, so they remain valid across plan
-rebuilds as long as the plan structure is unchanged.  ``plan_key``
-namespaces checkpoints per application run; pass a fresh key (or call
-:meth:`clear`) when the input data changes, since the manager cannot
-detect that.
+Keys are *positional* (atom ordinal × output ordinal within the plan),
+not operator-id based, so they remain valid across plan rebuilds as
+long as the plan structure is unchanged.  ``plan_key`` namespaces the
+payloads per application run; pass a fresh key (or call :meth:`clear`)
+when the input data changes, since the manager cannot detect that.
 
-*Structural* staleness, however, **is** detected: the Executor computes a
-plan-structure fingerprint (:func:`plan_fingerprint` — platform names,
+*Structural* staleness is the journal's business, not this module's:
+the journal header carries :func:`plan_fingerprint` (platform names,
 operator kinds, atom shapes; deliberately *not* operator ids, which are
-process-local) and hands it to :meth:`CheckpointManager.ensure_fingerprint`
-before the first atom runs.  A mismatch under the same ``plan_key`` means
-the positional keys no longer line up with the plan, so the stale
-checkpoints are cleared automatically instead of being restored into the
-wrong atoms.
+process-local) and the config epoch, and the Executor clears this
+store's key whenever the header does not match the plan about to run.
+What stays here is the per-payload guard: every blob carries a CRC, and
+a damaged one is reported as absent, never restored.
 """
 
 from __future__ import annotations
@@ -67,8 +66,8 @@ def plan_fingerprint(plan: "ExecutionPlan") -> str:
     arity and external-input slots; loop atoms recurse into their body
     plans.  Operator ids are excluded on purpose — they come from a
     process-global counter, and the fingerprint must survive rebuilding
-    the same plan in a new process (the crash-recovery case checkpoints
-    exist for).  UDF *code* is hashed, but values captured by closures
+    the same plan in a new process (the crash-recovery case the journal
+    exists for).  UDF *code* is hashed, but values captured by closures
     are not — like changed input data, those fall under the caller's
     ``plan_key`` responsibility.
     """
@@ -118,47 +117,15 @@ class CheckpointManager:
         self.plan_key = plan_key
         # Catalog metadata is process-local: after a crash, checkpoint
         # blobs surviving on a durable store must be re-adopted before
-        # ``has``/``load`` (and crash resume) can see them.
+        # ``load`` (and crash resume) can see them.
         rediscover = getattr(catalog, "rediscover", None)
         if rediscover is not None:
             rediscover(store_name, prefix=f"__ckpt__/{plan_key}/")
         #: counters updated by the executor (exposed for tests/monitoring)
         self.saves = 0
         self.restores = 0
-        #: how many times a fingerprint mismatch auto-cleared stale data
-        self.stale_clears = 0
         #: corrupted checkpoint payloads detected (and recomputed) on load
         self.corrupt_detected = 0
-
-    # ------------------------------------------------------------------
-    def _fingerprint_dataset(self) -> str:
-        return f"__ckpt__/{self.plan_key}/meta/fingerprint"
-
-    def ensure_fingerprint(self, fingerprint: str, epoch: str | None = None) -> bool:
-        """Guard the store against structurally stale checkpoints.
-
-        Called by the Executor with :func:`plan_fingerprint` of the plan
-        about to run and (optionally) the execution *config epoch*
-        (:func:`repro.core.recovery.config_epoch`).  If the recorded
-        ``(fingerprint, epoch)`` pair differs, every checkpoint of the
-        key is cleared — positionally mismatched plans would restore
-        wrong data, and a checkpoint written under e.g. ``columnar=1``
-        must not be replayed into a row-mode run (its conversion charges
-        would be wrong).  Returns False when stale data was cleared,
-        True when the store was empty or already matching.
-        """
-        expected = [fingerprint] if epoch is None else [fingerprint, epoch]
-        name = self._fingerprint_dataset()
-        if name in self.catalog:
-            stored, _cost = self.catalog.read_dataset_with_cost(name)
-            if list(stored) == expected:
-                return True
-            self.clear()
-            self.stale_clears += 1
-            self.catalog.write_dataset(name, expected, self.store_name)
-            return False
-        self.catalog.write_dataset(name, expected, self.store_name)
-        return True
 
     # ------------------------------------------------------------------
     def _dataset(self, atom_ordinal: int, output_ordinal: int) -> str:
@@ -232,9 +199,6 @@ class CheckpointManager:
             stacklevel=3,
         )
         return None
-
-    def has(self, atom_ordinal: int, output_ordinal: int) -> bool:
-        return self._dataset(atom_ordinal, output_ordinal) in self.catalog
 
     def clear(self) -> int:
         """Drop every checkpoint of this plan key; returns the count."""

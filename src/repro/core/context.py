@@ -92,7 +92,6 @@ class RheemContext:
         columnar: bool | None = None,
         columnar_native: bool | None = None,
         calibrate: "Any | None" = None,
-        resume: bool | None = None,
         deadline_ms: float | None = None,
         profile: bool | None = None,
     ):
@@ -125,9 +124,6 @@ class RheemContext:
         :class:`~repro.core.optimizer.cardinality.CalibratedCardinalityEstimator`
         and every execution's boundary observations are folded back into
         the store (``REPRO_NO_CALIBRATION=1`` disables all of it);
-        ``resume=True`` makes the Executor resume a crashed run from an
-        attached :class:`~repro.core.recovery.RunJournal` instead of
-        starting over (default off);
         ``deadline_ms`` bounds each atom attempt's wall-clock time —
         overruns are charged, counted and escalated through the
         failover ladder (default off);
@@ -181,7 +177,6 @@ class RheemContext:
             columnar=columnar,
             columnar_native=columnar_native,
             calibration=self.calibration,
-            resume=resume,
             deadline_ms=deadline_ms,
             profile=profile,
         )

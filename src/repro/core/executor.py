@@ -142,7 +142,6 @@ class Executor:
         columnar: bool | None = None,
         columnar_native: bool | None = None,
         calibration: "CalibrationStore | None" = None,
-        resume: bool | None = None,
         deadline_ms: float | None = None,
         profile: bool | None = None,
     ):
@@ -211,10 +210,6 @@ class Executor:
         #: (``metrics.calibration_observations``) is folded into its
         #: priors at the end of every execution (kill-switch aware)
         self.calibration = calibration
-        #: opt-in crash recovery: when a ``runtime.journal`` holds a
-        #: compatible run journal, its trusted prefix is replayed instead
-        #: of re-executed (see :mod:`repro.core.recovery`).  Default off.
-        self.resume = bool(resume)
         #: per-atom wall-clock deadline: an ``execute_atom`` call that
         #: outlives it is abandoned and treated as a platform outage
         #: (:class:`~repro.errors.AtomDeadlineError` → breaker →
@@ -315,9 +310,11 @@ class Executor:
                 atoms=len(plan.atoms),
                 platforms=[p.name for p in plan.platforms],
             )
-            self._guard_checkpoint(plan, runtime)
-
             current = plan
+            # Run-local: a failover or tail re-plan stops journaling for
+            # the rest of *this* run without touching the caller's
+            # runtime, which may be reused for the next execute().
+            journal = runtime.journal
             start = 0
             first_segment = True
             while True:
@@ -340,13 +337,13 @@ class Executor:
                     # do, and a resumed run re-charges identical startups
                     # live before replaying the prefix.
                     start = self._prepare_journal(
-                        current, channels, runtime, metrics, cpath
+                        journal, current, channels, runtime, metrics, cpath
                     )
                     first_segment = False
                 try:
                     ConcurrentAtomScheduler(
                         self, current, channels, runtime, metrics, models,
-                        cpath, start=start,
+                        cpath, start=start, journal=journal,
                     ).run()
                     break
                 except AtomExhaustedError as failure:
@@ -358,16 +355,14 @@ class Executor:
                     current = self._replan_tail(
                         current, cut.index, channels, metrics
                     )
-                # Positional checkpoint keys no longer line up with the
-                # replaced suffix; stop checkpointing for the rest of
-                # this run (earlier saves stay valid for a future resume
-                # of the *original* plan).  The journal deactivates with
-                # it: its records describe the original plan's ordinals.
-                # A crash after this point resumes the clean prefix, and
-                # the restored injector/health state makes the re-run
-                # fail and fail over identically — same final bill.
-                runtime.checkpoint = None
-                runtime.journal = None
+                # The journal's records (and its store's positional keys)
+                # describe the original plan's ordinals, which no longer
+                # line up with the replaced suffix: stop journaling for
+                # the rest of this run.  A crash after this point resumes
+                # the clean prefix, and the restored injector/health
+                # state makes the re-run fail and fail over identically —
+                # same final bill.
+                journal = None
                 start = 0
 
             outputs = {}
@@ -408,7 +403,7 @@ class Executor:
                 tracer.end_span(span)
 
     # ------------------------------------------------------------------
-    # fault tolerance: checkpoint staleness guard and failover
+    # durable run journal: commit and resume (see repro.core.recovery)
     # ------------------------------------------------------------------
     def _config_epoch(self) -> str:
         """The execution-config epoch this executor persists state under."""
@@ -418,37 +413,9 @@ class Executor:
             calibration=self.calibration is not None,
         )
 
-    def _guard_checkpoint(
-        self, plan: ExecutionPlan, runtime: RuntimeContext
-    ) -> None:
-        """Auto-clear structurally/configurationally stale checkpoints.
-
-        Staleness covers the plan structure *and* the execution-config
-        epoch: a checkpoint written under a different columnar /
-        kernel / calibration configuration replays wrong charges, so it
-        is cleared like a reshaped plan.  Duck-typed checkpoint managers
-        without the ``epoch`` parameter keep working (fingerprint-only).
-        """
-        checkpoint = runtime.checkpoint
-        ensure = getattr(checkpoint, "ensure_fingerprint", None)
-        if ensure is None:
-            return
-        fingerprint = plan_fingerprint(plan)
-        try:
-            ensure(fingerprint, epoch=self._config_epoch())
-        except TypeError:
-            ensure(fingerprint)
-
-    # ------------------------------------------------------------------
-    # durable run journal: commit and resume (see repro.core.recovery)
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _active_journal(runtime: RuntimeContext):
-        """The runtime's journal, or None (failover deactivates it)."""
-        return getattr(runtime, "journal", None)
-
     def _prepare_journal(
         self,
+        journal,
         plan: ExecutionPlan,
         channels: dict[int, CollectionChannel],
         runtime: RuntimeContext,
@@ -457,26 +424,22 @@ class Executor:
     ) -> int:
         """Bootstrap the run journal; returns how many atoms to skip.
 
-        With resume enabled and a journal whose header matches this
-        plan's fingerprint *and* config epoch, the trusted record prefix
-        is replayed (channels from checkpoints, ledger/span/health/
-        injector state from the records) and the journal is rewritten to
-        exactly that prefix before appending resumes.  Anything else —
-        fresh journal, torn header, mismatched plan or epoch, or a
-        prefix whose checkpoints fail validation at record 0 — starts a
-        fresh journal.
+        The one staleness guard.  A recoverable journal (one with a
+        payload store) whose stored header matches this plan's
+        fingerprint *and* config epoch has its trusted record prefix
+        replayed (channels from the store, ledger/span/health/injector
+        state from the records) and is rewritten to exactly that prefix
+        before appending resumes.  Any other stored header — none, torn,
+        another plan shape, another epoch — means the store's positional
+        payloads do not belong to this run: they are cleared.  Every
+        case but a non-empty replay begins a fresh journal; one without
+        a store never reads the file at all.
         """
-        journal = self._active_journal(runtime)
         if journal is None:
             return 0
         fingerprint = plan_fingerprint(plan)
         epoch = self._config_epoch()
-        header = journal.header(
-            fingerprint=fingerprint, epoch=epoch,
-            parallelism=self.parallelism,
-            execution_mode=self.execution_mode,
-        )
-        if self.resume:
+        if journal.store is not None:
             stored_header, records, torn = journal.load()
             if torn:
                 metrics.registry.counter(
@@ -489,12 +452,16 @@ class Executor:
                 and stored_header.get("epoch") == epoch
             ):
                 replayed = self._replay_journal(
-                    plan, records, channels, runtime, metrics, cpath
+                    journal.store, plan, records, channels, runtime,
+                    metrics, cpath,
                 )
                 if replayed:
                     journal.reset_to(stored_header, records[:replayed])
-                    metrics.resumes += 1
-                    metrics.atoms_restored += replayed
+                    # Set, not added: the registry snapshot just imported
+                    # may carry the counts of an earlier resume of this
+                    # same run; these two describe *this* execution.
+                    metrics.resumes = 1
+                    metrics.atoms_restored = replayed
                     # Listener-only (tracer=None): resume must not add
                     # span events an uninterrupted run would not have.
                     self._emit(
@@ -506,11 +473,20 @@ class Executor:
                         torn_records=torn,
                     )
                     return replayed
-        journal.begin(header)
+            else:
+                journal.store.clear()
+        journal.begin(
+            journal.header(
+                fingerprint=fingerprint, epoch=epoch,
+                parallelism=self.parallelism,
+                execution_mode=self.execution_mode,
+            )
+        )
         return 0
 
     def _replay_journal(
         self,
+        store,
         plan: ExecutionPlan,
         records: list[dict],
         channels: dict[int, CollectionChannel],
@@ -527,11 +503,10 @@ class Executor:
         span self-time are *set* to the journaled absolute values — the
         resumed run re-derives the identical prefix state, so absolutes
         reproduce bit-for-bit where re-basing arithmetic could drift by
-        an ulp.  The prefix ends at the first record whose checkpointed
+        an ulp.  The prefix ends at the first record whose saved
         outputs are missing or fail CRC validation: everything from
         there on is recomputed (never guessed).
         """
-        checkpoint = runtime.checkpoint
         ledger = metrics.ledger
         tracer = ledger.tracer
         atoms = plan.atoms
@@ -546,7 +521,7 @@ class Executor:
                 break
             atom = atoms[replayed]
             restored = self._load_journaled_outputs(
-                replayed, atom, record, checkpoint
+                replayed, atom, record, store
             )
             if restored is None:
                 break
@@ -600,27 +575,23 @@ class Executor:
         return replayed
 
     def _load_journaled_outputs(
-        self, ordinal: int, atom, record: dict, checkpoint
+        self, ordinal: int, atom, record: dict, store
     ) -> dict[int, CollectionChannel] | None:
-        """Rebuild one journaled atom's output channels from checkpoints.
+        """Rebuild one journaled atom's output channels from the store.
 
         Channel shapes (cardinality, columnar flag) come from the
-        record; payloads come from the positional checkpoint store.
-        ``None`` — ending the restorable prefix — when the checkpoint is
+        record; payloads come from the journal's positional store.
+        ``None`` — ending the restorable prefix — when a payload is
         absent, corrupt, or disagrees with the journaled cardinality.
         """
         shapes = record.get("outputs")
         output_ids = sorted(atom.output_ids)
-        if (
-            checkpoint is None
-            or shapes is None
-            or len(shapes) != len(output_ids)
-        ):
+        if shapes is None or len(shapes) != len(output_ids):
             return None
         restored: dict[int, CollectionChannel] = {}
         for index, op_id in enumerate(output_ids):
             card, is_columnar = shapes[index]
-            loaded = checkpoint.load(ordinal, index)
+            loaded = store.load(ordinal, index)
             if loaded is None:
                 return None
             data, _cost = loaded
@@ -707,6 +678,9 @@ class Executor:
     ) -> None:
         """Append one atom-completion record durably (the WAL step).
 
+        A recoverable journal first saves the atom's outputs to its
+        store, charged as ``checkpoint.save`` — inside the record's
+        ledger slice, so a replay bills them like the original run.
         The record carries the atom's ledger/span/misestimate slices
         plus full post-atom snapshots of the registry, health tracker
         and failure injector — everything resume needs to reconstruct
@@ -719,6 +693,14 @@ class Executor:
 
         tracer = metrics.ledger.tracer
         ledger = metrics.ledger
+        if journal.store is not None:
+            for position, op_id in enumerate(sorted(atom.output_ids)):
+                cost = journal.store.save(
+                    index, position, channels[op_id].require_data()
+                )
+                ledger.charge(
+                    "checkpoint.save", cost, atom.platform.name, atom.id
+                )
         record: dict[str, Any] = {
             "t": "atom",
             "index": index,
@@ -916,68 +898,6 @@ class Executor:
             self._run_loop_atom(atom, channels, runtime, metrics, models)
         else:
             self._run_task_atom(atom, channels, runtime, metrics, models)
-
-    def _restore_atom(
-        self,
-        ordinal: int,
-        atom: TaskAtom | LoopAtom,
-        channels: dict[int, CollectionChannel],
-        runtime: RuntimeContext,
-        metrics: ExecutionMetrics,
-    ) -> bool:
-        """Restore an atom's outputs from the checkpoint store, if all
-        of them are present and pass CRC validation; returns True when
-        the atom can be skipped.  Loads are collected before any channel
-        is assigned: a corrupt output mid-set must fall back to
-        recomputing the whole atom, not leave half its channels
-        restored."""
-        checkpoint = runtime.checkpoint
-        output_ids = sorted(atom.output_ids)
-        if not output_ids:
-            return False
-        if not all(checkpoint.has(ordinal, i) for i in range(len(output_ids))):
-            return False
-        loaded: list[tuple[int, list[Any], float]] = []
-        for index, op_id in enumerate(output_ids):
-            restored = checkpoint.load(ordinal, index)
-            if restored is None:  # present but corrupt: recompute instead
-                metrics.registry.counter(
-                    "checkpoint_corrupt",
-                    "corrupted checkpoints detected (atom recomputed)",
-                ).inc()
-                return False
-            data, cost = restored
-            loaded.append((op_id, data, cost))
-        for op_id, data, cost in loaded:
-            channels[op_id] = CollectionChannel(data, atom.platform.name)
-            metrics.ledger.charge(
-                "checkpoint.restore", cost, atom.platform.name, atom.id
-            )
-        metrics.atoms_skipped += 1
-        self._emit(
-            ATOM_FINISHED,
-            metrics.ledger.tracer,
-            atom=atom.id,
-            platform=atom.platform.name,
-            virtual_ms=0.0,
-            restored_from_checkpoint=True,
-        )
-        return True
-
-    def _save_atom(
-        self,
-        ordinal: int,
-        atom: TaskAtom | LoopAtom,
-        channels: dict[int, CollectionChannel],
-        runtime: RuntimeContext,
-        metrics: ExecutionMetrics,
-    ) -> None:
-        checkpoint = runtime.checkpoint
-        for index, op_id in enumerate(sorted(atom.output_ids)):
-            cost = checkpoint.save(ordinal, index, channels[op_id].require_data())
-            metrics.ledger.charge(
-                "checkpoint.save", cost, atom.platform.name, atom.id
-            )
 
     def _make_channel(
         self,
@@ -1525,7 +1445,7 @@ class Executor:
                 runtime.bound_sources[repeat.body_input.id] = state
                 body_channels: dict[int, CollectionChannel] = {}
                 # Loop bodies re-run every iteration by design: no
-                # checkpointing, no journal, no admission below the top.
+                # journal, no admission below the top.
                 for body_atom in atom.body_plan.atoms:
                     self._run_atom(
                         body_atom, body_channels, runtime, metrics, models

@@ -184,10 +184,6 @@ class ExecutionMetrics:
     failovers = _RegistryBacked("failovers", "mid-run plan-suffix failovers")
     #: platforms quarantined (circuit breaker opened) during the run
     quarantines = _RegistryBacked("quarantines", "platform quarantines")
-    #: atoms skipped because their outputs were restored from a checkpoint
-    atoms_skipped = _RegistryBacked(
-        "atoms_skipped", "atoms restored from checkpoint"
-    )
     #: loop iterations executed across all loop atoms
     loop_iterations = _RegistryBacked(
         "loop_iterations", "loop iterations executed"
@@ -299,10 +295,10 @@ class ExecutionMetrics:
     def summary(self) -> str:
         """Human-readable one-paragraph summary.
 
-        Resilience and checkpoint/loop counters appear only when
-        non-zero, but none of them are silently dropped any more:
-        ``backoff_ms``, ``atoms_skipped`` and ``loop_iterations`` all
-        surface when they carry signal.
+        Resilience, loop and resume counters appear only when
+        non-zero, but none of them are silently dropped:
+        ``backoff_ms`` and ``loop_iterations`` surface when they carry
+        signal.
         """
         platform_part = ", ".join(
             f"{name}={ms:.1f}ms" for name, ms in sorted(self.by_platform().items())
@@ -316,8 +312,6 @@ class ExecutionMetrics:
             extras.append(
                 f"failovers={self.failovers} quarantines={self.quarantines}"
             )
-        if self.atoms_skipped:
-            extras.append(f"atoms_skipped={self.atoms_skipped}")
         if self.loop_iterations:
             extras.append(f"loop_iterations={self.loop_iterations}")
         if self.resumes:

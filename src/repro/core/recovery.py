@@ -2,9 +2,8 @@
 
 The Executor's in-process fault tolerance (retry → quarantine →
 failover, :mod:`repro.core.resilience`) cannot survive the process
-itself dying — and the :class:`~repro.core.checkpoint.CheckpointManager`
-docstring names whole-process crashes as the reason checkpoints exist.
-This module supplies the missing durable half:
+itself dying.  This module supplies the durable half, and the
+:class:`RunJournal` is the one owner of recovery state:
 
 * :class:`RunJournal` — an append-only, fsync'd record of one run:
   a header (run id, plan fingerprint, execution-config epoch) followed
@@ -13,8 +12,14 @@ This module supplies the missing durable half:
   failure-injector / health-tracker / metrics-registry state *after*
   that atom.  Every line is CRC32-guarded; a torn tail (a crash mid
   ``write``) is detected and truncated, never trusted.  File creation
-  and prefix rewrites are crash-atomic (write-temp-then-rename);
-  appends are flushed and fsync'd per record.
+  and prefix rewrites are crash-atomic (write-temp-then-rename, then
+  an fsync of the containing directory so the rename itself is
+  durable); appends are flushed and fsync'd per record.  A journal
+  given a payload ``store``
+  (:class:`~repro.core.checkpoint.CheckpointManager`) is *recoverable*:
+  every atom's outputs are saved next to its record and a later run
+  over the same path resumes.  Without a store it is an audit journal:
+  it records durably and never resumes.
 
 * :class:`CrashInjector` — the chaos harness companion of
   :class:`~repro.core.resilience.FailureInjector`: a seeded
@@ -24,17 +29,21 @@ This module supplies the missing durable half:
   ``BaseException`` so it cannot be absorbed by the retry ladder.
 
 * :func:`config_epoch` — a digest of the execution configuration that
-  changes result bytes or checkpoint payloads (columnar hand-offs,
-  kernel and calibration kill-switches, calibration store): journal
-  headers and checkpoint fingerprints both embed it so state written
-  under one configuration is never replayed into another.
+  changes result bytes or saved payloads (columnar hand-offs, kernel
+  and calibration kill-switches, calibration store): journal headers
+  embed it so state written under one configuration is never replayed
+  into another.
 
-Resume (``Executor(resume=True)`` / ``repro resume``) replays the journal's trusted prefix — restoring
-channels from checkpoints and ledger/span/health/injector state from
-the records — and executes only the missing suffix; the recovery
-invariant (pinned by the crash/resume sweep tests) is that the final
-outputs, ``virtual_ms``, full ledger entry sequence and span shape are
-byte-identical to an uninterrupted run, at any parallelism.
+Resume is not a setting: the Executor reads the decision from the
+journal file.  A recoverable journal whose header matches the plan's
+fingerprint and config epoch has its trusted prefix replayed —
+channels from the store, ledger/span/health/injector state from the
+records — and only the missing suffix executes; any other header clears
+the store's key and begins fresh.  The recovery invariant (pinned by the
+crash/resume sweep tests) is that the final outputs, ``virtual_ms``,
+full ledger entry sequence and span shape are byte-identical to an
+uninterrupted run, at any parallelism and under either backend — for a
+crashed run and for a rerun of a completed one alike.
 """
 
 from __future__ import annotations
@@ -82,8 +91,8 @@ def config_epoch(
 ) -> str:
     """Digest of the execution config that affects persisted state.
 
-    Two runs with different epochs must not share checkpoints or
-    journals: a checkpoint written under ``columnar=1`` would replay
+    Two runs with different epochs must not share journals or their
+    payload stores: an output saved under ``columnar=1`` would replay
     wrong conversion charges into a row-mode run, and kernel /
     calibration kill-switches change the charge sequence.  The
     columnar-*native* flag is part of the epoch because elided
@@ -155,6 +164,10 @@ class RunJournal:
     first damaged one) and :meth:`reset_to` rewrites the file to a
     validated prefix — also via temp-then-rename — before a resumed run
     continues appending.
+
+    ``store`` (a :class:`~repro.core.checkpoint.CheckpointManager`) is
+    where the atoms' output payloads go; records only carry their
+    shapes.  Its presence is what makes the run recoverable.
     """
 
     def __init__(
@@ -162,8 +175,10 @@ class RunJournal:
         path: str,
         run_id: str | None = None,
         workload: dict[str, Any] | None = None,
+        store: Any | None = None,
     ):
         self.path = str(path)
+        self.store = store
         base = os.path.splitext(os.path.basename(self.path))[0]
         self.run_id = run_id or base or "run"
         #: optional workload descriptor stored in the header so the CLI
@@ -213,9 +228,18 @@ class RunJournal:
             fh.write(encode_line(header))
             fh.flush()
             os.fsync(fh.fileno())
-        os.replace(tmp, self.path)
+        self._replace_durably(tmp)
         self.records_written = 0
         self._open_append()
+
+    def _replace_durably(self, tmp: str) -> None:
+        """Rename ``tmp`` over the journal and fsync the directory entry."""
+        os.replace(tmp, self.path)
+        fd = os.open(os.path.dirname(self.path) or ".", os.O_RDONLY)
+        try:
+            os.fsync(fd)
+        finally:
+            os.close(fd)
 
     def _open_append(self) -> None:
         self.close()
@@ -285,7 +309,7 @@ class RunJournal:
         """Rewrite the journal to a validated prefix, atomically.
 
         Used by resume after :meth:`load`: the trusted prefix (possibly
-        shortened further by checkpoint validation) replaces the file
+        shortened further by payload validation) replaces the file
         via temp-then-rename, and the journal reopens for appending the
         resumed run's suffix records.
         """
@@ -296,7 +320,7 @@ class RunJournal:
                 fh.write(encode_line(record))
             fh.flush()
             os.fsync(fh.fileno())
-        os.replace(tmp, self.path)
+        self._replace_durably(tmp)
         self.records_written = len(records)
         self._open_append()
 

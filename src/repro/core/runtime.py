@@ -28,7 +28,6 @@ class RuntimeContext:
         self,
         catalog: "Catalog | None" = None,
         failure_injector: FailureInjector | None = None,
-        checkpoint: "Any | None" = None,
         health: HealthTracker | None = None,
         tracer: "Any | None" = None,
         journal: "Any | None" = None,
@@ -37,8 +36,9 @@ class RuntimeContext:
         self.catalog = catalog
         self.failure_injector = failure_injector
         #: optional :class:`~repro.core.recovery.RunJournal`: a durable
-        #: write-ahead record of atom completions enabling crash resume.
-        #: Deactivated (set to None) by a failover, like ``checkpoint``.
+        #: write-ahead record of atom completions; given a payload
+        #: ``store`` it makes the run recoverable (a later execution
+        #: over the same journal resumes).  The one recovery mechanism.
         self.journal = journal
         #: optional :class:`~repro.core.recovery.CrashInjector` for chaos
         #: tests: hard-aborts the run around a chosen journal commit.
@@ -48,8 +48,6 @@ class RuntimeContext:
         #: operators, movement) and ledgers advance its virtual clock.
         #: None (the default) keeps the whole tracing path allocation-free.
         self.tracer = tracer
-        #: optional CheckpointManager making top-level atoms resumable
-        self.checkpoint = checkpoint
         #: Per-platform failure accounting, circuit breakers and
         #: quarantines.  Reuse one RuntimeContext (or pass a shared
         #: tracker) across executions to carry health knowledge over.

@@ -6,10 +6,10 @@ selected data processing frameworks" (§4.2).
 top-level plan segment — for ordinary, failover-replaced and adaptively
 re-planned segments alike — and it does so in one of two ways:
 
-* **inline** (``parallelism == 1``, a single-atom plan, or an attached
-  checkpoint without an active run journal): every atom, task or loop,
-  runs on the coordinator thread against the *live* ledger, tracer,
-  health tracker and injector counters — no thread hop, no shard;
+* **inline** (``parallelism == 1`` or a single-atom plan): every atom,
+  task or loop, runs on the coordinator thread against the *live*
+  ledger, tracer, health tracker and injector counters — no thread hop,
+  no shard;
 * **dispatched** (everything else): independent task atoms run on a
   thread or process backend against private shards, and the coordinator
   replays their effects in plan order, so outputs, the ledger entry
@@ -93,7 +93,8 @@ Channel refcounting
 -------------------
 
 When materialised channels are not needed later — failover disabled, no
-checkpoint attached, no after-atom hook installed — the scheduler counts
+recoverable journal attached, no after-atom hook installed — the
+scheduler counts
 each hand-off's consumers at plan time and drops the payload
 (:meth:`CollectionChannel.release`) once the last consumer has passed
 its plan-order step, bounding peak memory to the live frontier instead
@@ -147,6 +148,7 @@ from repro.errors import AtomExhaustedError, ExecutionError
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.executor import Executor
     from repro.core.observability.spans import Span
+    from repro.core.recovery import RunJournal
 
 __all__ = [
     "ConcurrentAtomScheduler",
@@ -284,7 +286,7 @@ def shard_runtime(base: RuntimeContext, tracer, health) -> RuntimeContext:
     ``runtime.tracer``; an abandoned deadline zombie keeps writing into
     a tracer nobody reads), the caller's ``health`` (a worker passes a
     :class:`_JournalHealth`, a deadline guard the live tracker) and no
-    checkpoint or journal.  Loop state is only ever bound while a loop
+    journal.  Loop state is only ever bound while a loop
     runs live with nothing in flight, so workers see it empty.
     """
     clone = RuntimeContext(
@@ -482,6 +484,7 @@ class ConcurrentAtomScheduler:
         models: dict[str, Any],
         cpath: CriticalPath,
         start: int = 0,
+        journal: "RunJournal | None" = None,
     ) -> None:
         self.executor = executor
         self.plan = plan
@@ -497,9 +500,10 @@ class ConcurrentAtomScheduler:
         self._parent_span: "Span | None" = (
             self.tracer.current if self.tracer is not None else None
         )
-        #: durable run journal (None when the run is not journaled);
+        #: durable run journal (None when the run is not journaled, or
+        #: a failover / tail re-plan replaced the plan it describes);
         #: committed by the coordinator at the plan-order step.
-        self._journal = executor._active_journal(runtime)
+        self._journal = journal
 
         atoms = plan.atoms
         n = len(atoms)
@@ -508,11 +512,7 @@ class ConcurrentAtomScheduler:
         #: resumed suffix length: shard grafts group v-clock additions
         #: differently from live charging, and resume promises
         #: bit-identical accounting.
-        self._inline = (
-            self.parallelism == 1
-            or n <= 1
-            or (runtime.checkpoint is not None and self._journal is None)
-        )
+        self._inline = self.parallelism == 1 or n <= 1
         self._deps = [atom_dependencies(atom) for atom in atoms]
         # ``start`` atoms were restored from the run journal on resume:
         # their channels are already published, their effects replayed.
@@ -530,12 +530,11 @@ class ConcurrentAtomScheduler:
         # --- channel refcounting -------------------------------------------
         # Only safe when materialised channels are not needed later:
         # they bound the suffix a failover or an after-atom cut
-        # re-plans, and an attached checkpoint store may be asked for
-        # them again.
+        # re-plans, and a recoverable journal saves them to its store.
         self._refcount_enabled = (
             not executor.failover
             and executor._after_atom is None
-            and runtime.checkpoint is None
+            and (journal is None or journal.store is None)
         )
         if self._refcount_enabled:
             self._protected = {sink.id for sink in plan.collect_sinks}
@@ -992,10 +991,10 @@ class ConcurrentAtomScheduler:
         """The plan-order step for one executed atom — the one place the
         per-atom bookkeeping is written.
 
-        journal mark → (un-journaled positional restore | blocking
-        slot-pool acquire → live run → release | graft of the shard a
-        worker ran) → checkpoint save → journal commit → critical-path
-        record → refcount consume → after-atom hook.  Without
+        journal mark → (blocking slot-pool acquire → live run → release
+        | graft of the shard a worker ran) → journal commit (payload
+        save + record) → critical-path record → refcount consume →
+        after-atom hook.  Without
         ``journal`` the atom runs live on the coordinator (every atom of
         an inline segment; loop barriers otherwise): everything before
         it has passed this step and nothing is in flight, so the shared
@@ -1008,47 +1007,31 @@ class ConcurrentAtomScheduler:
         # Mark *before* any effect lands so the journal record captures
         # exactly this atom's slice of ledger/span/observation state.
         mark = executor._journal_mark(metrics)
-        restored = False
         if journal is not None:
             self._graft(journal)
         since = ledger.total_ms
         if journal is None:
             if self._inline:
                 self.cpath.sync_overhead(since)
-            # Positional restore serves un-journaled reruns; journaled
-            # runs restore only through resume (which validates the
-            # journal prefix), keeping behaviour parallelism-independent.
-            restored = (
-                runtime.checkpoint is not None
-                and self._journal is None
-                and executor._restore_atom(
-                    index, atom, channels, runtime, metrics
+            pool = self._slot_pool
+            if pool is not None:
+                # Shared admission: top-level atoms draw from the
+                # process-wide per-platform budget (serving daemon).
+                pool.acquire(atom.platform.name)
+            try:
+                executor._run_atom(
+                    atom, channels, runtime, metrics, self.models
                 )
-            )
-            if not restored:
-                pool = self._slot_pool
+            finally:
                 if pool is not None:
-                    # Shared admission: top-level atoms draw from the
-                    # process-wide per-platform budget (serving daemon).
-                    pool.acquire(atom.platform.name)
-                try:
-                    executor._run_atom(
-                        atom, channels, runtime, metrics, self.models
-                    )
-                finally:
-                    if pool is not None:
-                        pool.release(atom.platform.name)
-        if not restored:
-            if runtime.checkpoint is not None:
-                executor._save_atom(index, atom, channels, runtime, metrics)
-            if self._journal is not None:
-                executor._journal_commit(
-                    self._journal, mark, index, atom, channels, runtime,
-                    metrics,
-                )
+                    pool.release(atom.platform.name)
+        if self._journal is not None:
+            executor._journal_commit(
+                self._journal, mark, index, atom, channels, runtime, metrics
+            )
         # A live atom's cost is its ledger slice; a grafted one's is the
-        # shard total plus the save/commit charges (``0.0 + x == x``, so
-        # one expression keeps both float groupings).
+        # shard total plus the commit's save charges (``0.0 + x == x``,
+        # so one expression keeps both float groupings).
         shard_ms = journal.cost_ms if journal is not None else 0.0
         self.cpath.record(atom, shard_ms + ledger.total_ms - since)
         self._replay_cursor = index + 1

@@ -45,6 +45,9 @@ from repro.errors import ValidationError
 #: default port: one above serve-metrics' 9464, so both fit side by side
 DEFAULT_PORT = 9465
 
+#: largest ``/submit`` body accepted; specs are a few hundred bytes
+MAX_SUBMIT_BYTES = 1 << 20
+
 #: header naming the tenant a query belongs to
 TENANT_HEADER = "X-Repro-Tenant"
 DEFAULT_TENANT = "default"
@@ -138,7 +141,20 @@ class _Handler(BaseHTTPRequestHandler):
         if self.path.rstrip("/") != "/submit":
             self._reply(404, b"not found\n", "text/plain; charset=utf-8")
             return
-        length = int(self.headers.get("Content-Length") or 0)
+        # The length is the client's claim: a junk one must not raise out
+        # of the handler, a negative one would read to EOF and pin this
+        # thread, and an honest huge one must not be buffered.
+        try:
+            length = int(self.headers.get("Content-Length") or 0)
+        except ValueError:
+            length = -1
+        if length < 0:
+            self._json(400, {"error": "Content-Length must be a "
+                                      "non-negative integer"})
+            return
+        if length > MAX_SUBMIT_BYTES:
+            self._json(413, {"error": f"body exceeds {MAX_SUBMIT_BYTES} bytes"})
+            return
         raw = self.rfile.read(length) if length else b""
         try:
             spec = json.loads(raw.decode("utf-8") or "null")

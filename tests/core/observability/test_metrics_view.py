@@ -71,7 +71,6 @@ class TestSummarySatellite:
     def test_quiet_run_has_no_extras(self):
         text = ExecutionMetrics().summary()
         assert "backoff=" not in text
-        assert "atoms_skipped=" not in text
         assert "loop_iterations=" not in text
         assert "failovers=" not in text
 
@@ -80,13 +79,10 @@ class TestSummarySatellite:
         metrics.backoff_ms += 12.5
         assert "backoff=12.5ms" in metrics.summary()
 
-    def test_atoms_skipped_and_loop_iterations_reported(self):
+    def test_loop_iterations_reported(self):
         metrics = ExecutionMetrics()
-        metrics.atoms_skipped += 2
         metrics.loop_iterations += 7
-        text = metrics.summary()
-        assert "atoms_skipped=2" in text
-        assert "loop_iterations=7" in text
+        assert "loop_iterations=7" in metrics.summary()
 
     def test_failovers_and_quarantines_reported_together(self):
         metrics = ExecutionMetrics()

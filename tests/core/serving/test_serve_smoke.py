@@ -10,6 +10,7 @@ segments (the suite-wide autouse fixture).
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import time
 import urllib.error
@@ -18,7 +19,7 @@ import urllib.request
 import pytest
 
 from repro.core.serving import ServingDaemon
-from repro.core.serving.daemon import _ENUMERATION_SPANS
+from repro.core.serving.daemon import _ENUMERATION_SPANS, MAX_SUBMIT_BYTES
 
 SPEC = {"workload": "wordcount", "seed": 11, "lines": 10, "width": 5}
 
@@ -131,3 +132,43 @@ class TestServeSmoke:
             assert status == 200
         finally:
             daemon.stop()
+
+
+def _raw_submit(daemon: ServingDaemon, content_length: str, body: bytes = b"") -> int:
+    """POST /submit with a hand-written Content-Length over a real
+    loopback socket; returns the status code (urllib would refuse to
+    send these headers)."""
+    with socket.create_connection((daemon.host, daemon.port), timeout=5.0) as sock:
+        sock.sendall(
+            b"POST /submit HTTP/1.1\r\nHost: test\r\nContent-Length: "
+            + content_length.encode("ascii") + b"\r\n\r\n" + body
+        )
+        reply = b""
+        while chunk := sock.recv(4096):  # timeout = the handler is pinned
+            reply += chunk
+    return int(reply.split()[1])
+
+
+class TestSubmitBodyBounds:
+    """The Content-Length header is the client's claim, not a fact."""
+
+    def test_non_integer_length_is_400(self):
+        with ServingDaemon(port=0) as daemon:
+            assert _raw_submit(daemon, "lots") == 400
+
+    def test_negative_length_is_400_not_a_read_to_eof(self):
+        # The socket stays open for writing: a handler that read to EOF
+        # would never answer, and recv() would time out.
+        with ServingDaemon(port=0) as daemon:
+            assert _raw_submit(daemon, "-1") == 400
+
+    def test_oversized_length_is_413_without_reading_the_body(self):
+        # No body follows the headers: a handler that tried to read the
+        # claimed bytes would block until the client timed out.
+        with ServingDaemon(port=0) as daemon:
+            assert _raw_submit(daemon, str(MAX_SUBMIT_BYTES + 1)) == 413
+
+    def test_ordinary_submit_still_200(self):
+        body = json.dumps(SPEC).encode("utf-8")
+        with ServingDaemon(port=0) as daemon:
+            assert _raw_submit(daemon, str(len(body)), body) == 200

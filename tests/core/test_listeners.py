@@ -180,13 +180,24 @@ class TestListenerErrorPropagation:
             assert runtime.health.health(platform.name).failures == 0
 
     def test_checkpoint_state_not_corrupted(self, tmp_path):
-        from repro import CheckpointManager, RheemContext, RuntimeContext
+        from repro import (
+            CheckpointManager, RheemContext, RunJournal, RuntimeContext,
+        )
         from repro.core.logical.operators import CollectSink
         from repro.storage import Catalog, LocalFsStore
 
         catalog = Catalog()
-        catalog.register_store(LocalFsStore(root=str(tmp_path)))
+        catalog.register_store(LocalFsStore(root=str(tmp_path / "ckpt")))
         manager = CheckpointManager(catalog, "localfs", plan_key="bomb-test")
+
+        def journaled_run(ctx, execution):
+            journal = RunJournal(str(tmp_path / "run.journal"), store=manager)
+            try:
+                return ctx.executor.execute(
+                    execution, RuntimeContext(journal=journal)
+                )
+            finally:
+                journal.close()
 
         ctx = RheemContext()
         # Two atoms via a union of two sources, forced to one platform.
@@ -203,17 +214,13 @@ class TestListenerErrorPropagation:
         bomb = _BombListener(ATOM_FINISHED, after=2)
         ctx.executor.add_listener(bomb)
         with pytest.raises(RuntimeError):
-            ctx.executor.execute(
-                execution, RuntimeContext(checkpoint=manager)
-            )
+            journaled_run(ctx, execution)
         assert manager.saves >= 1  # completed atoms were persisted
 
-        # Resume without the bomb: restores cleanly, result correct.
+        # Rerun without the bomb: resumes cleanly, result correct.
         ctx.executor.listeners.remove(bomb)
-        resumed = ctx.executor.execute(
-            execution, RuntimeContext(checkpoint=manager)
-        )
-        assert resumed.metrics.atoms_skipped >= 1
+        resumed = journaled_run(ctx, execution)
+        assert resumed.metrics.atoms_restored >= 1
         expected = sorted([x + 1 for x in range(20)] + list(range(5)))
         assert sorted(resumed.single) == expected
 

@@ -505,11 +505,11 @@ class ChaosHarness:
         )
         checkpoint = CheckpointManager(catalog, "localfs", plan_key="chaos")
         journal = RunJournal(
-            os.path.join(rundir, "run.journal"), run_id="chaos"
+            os.path.join(rundir, "run.journal"), run_id="chaos",
+            store=checkpoint,
         )
         tracer = Tracer()
         runtime = RuntimeContext(
-            checkpoint=checkpoint,
             tracer=tracer,
             journal=journal,
             crash_injector=(
@@ -519,8 +519,7 @@ class ChaosHarness:
             ),
         )
         executor = Executor(
-            resume=True, parallelism=parallelism, execution_mode=mode,
-            **self.executor_kw,
+            parallelism=parallelism, execution_mode=mode, **self.executor_kw
         )
         try:
             result = executor.execute(self.execution, runtime)

@@ -3,6 +3,9 @@
 injection modes, config epochs, and the lossless state snapshots resume
 replays (registry, health tracker, failure injector)."""
 
+import os
+import stat
+
 import pytest
 
 from repro.core.observability.registry import MetricsRegistry
@@ -139,6 +142,33 @@ class TestRunJournal:
         _, records, torn = self._journal(tmp_path).load()
         assert [r["index"] for r in records] == [0, 1]
         assert torn == 0
+
+    @pytest.mark.parametrize("operation", ["begin", "reset_to"])
+    def test_replace_fsyncs_the_containing_directory(
+        self, tmp_path, monkeypatch, operation
+    ):
+        """temp-then-rename is only crash-atomic once the rename itself
+        is durable: the directory entry must be fsync'd after it."""
+        journal = self._journal(tmp_path)
+        header = journal.header(fingerprint="fp", epoch="ep")
+        journal.begin(header)
+
+        synced_dirs = []
+        real_fsync = os.fsync
+
+        def spy(fd):
+            if stat.S_ISDIR(os.fstat(fd).st_mode):
+                # by now the rename must have happened
+                synced_dirs.append(not os.path.exists(journal.path + ".tmp"))
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", spy)
+        if operation == "begin":
+            journal.begin(header)
+        else:
+            journal.reset_to(header, [{"t": "atom", "index": 0}])
+        journal.close()
+        assert synced_dirs == [True]
 
     def test_workload_in_header(self, tmp_path):
         journal = self._journal(tmp_path, workload={"kind": "demo"})

@@ -335,8 +335,8 @@ class TestChannelRefcounting:
     ):
         """Refcounting is one policy at every width: an intermediate
         hand-off is dropped inline too, and kept whenever a failover
-        re-plan or an attached checkpoint may still need it."""
-        from repro.core.checkpoint import CheckpointManager
+        re-plan or a recoverable journal's store may still need it."""
+        from repro import CheckpointManager, RunJournal
         from repro.storage import Catalog, LocalFsStore
 
         released = self._spy(monkeypatch)
@@ -350,10 +350,19 @@ class TestChannelRefcounting:
         run(execution, 1, failover=True, task_optimizer=ctx.task_optimizer)
         assert released == []
         catalog = Catalog()
-        catalog.register_store(LocalFsStore(root=str(tmp_path)))
-        checkpoint = CheckpointManager(catalog, "localfs", "refcount")
-        run(execution, 1, runtime=RuntimeContext(checkpoint=checkpoint))
+        catalog.register_store(LocalFsStore(root=str(tmp_path / "ckpt")))
+        journal = RunJournal(
+            str(tmp_path / "run.journal"),
+            store=CheckpointManager(catalog, "localfs", "refcount"),
+        )
+        run(execution, 1, runtime=RuntimeContext(journal=journal))
+        journal.close()
         assert released == []
+        # An audit journal keeps no payloads, so it releases as usual.
+        audit = RunJournal(str(tmp_path / "audit.journal"))
+        run(execution, 1, runtime=RuntimeContext(journal=audit))
+        audit.close()
+        assert released
 
 
 class TestChannelUnit:

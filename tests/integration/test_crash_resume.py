@@ -176,7 +176,7 @@ class Harness:
     def __init__(self, tmp_path, build, parallelism=1, faults=None):
         self.tmp_path = tmp_path
         self.faults = faults
-        self.ctx = RheemContext(resume=True, parallelism=parallelism)
+        self.ctx = RheemContext(parallelism=parallelism)
         self.execution = build_execution(self.ctx, build)
         self.runs = 0
 
@@ -189,11 +189,11 @@ class Harness:
         )
         checkpoint = CheckpointManager(catalog, "localfs", plan_key="chaos")
         journal = RunJournal(
-            os.path.join(rundir, "run.journal"), run_id="chaos"
+            os.path.join(rundir, "run.journal"), run_id="chaos",
+            store=checkpoint,
         )
         tracer = Tracer()
         runtime = RuntimeContext(
-            checkpoint=checkpoint,
             tracer=tracer,
             journal=journal,
             crash_injector=(

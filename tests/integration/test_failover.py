@@ -166,3 +166,27 @@ class TestHealthCarryOver:
             if e.kind == ATOM_STARTED
         ]
         assert platforms and "java" not in platforms
+
+    def test_failover_leaves_the_callers_journal_attached(self, tmp_path):
+        """Journaling stops for the rest of a failed-over *run* (the
+        records describe the replaced plan), not for the runtime: the
+        next execute on the same RuntimeContext journals again."""
+        from repro import RunJournal
+
+        ctx = RheemContext(failover=True, max_retries=1)
+        journal = RunJournal(str(tmp_path / "run.journal"))
+        runtime = RuntimeContext(
+            failure_injector=FailureInjector(down_platforms={"java": 1}),
+            journal=journal,
+        )
+        execution = build_execution(ctx, forced_platform="java")
+        first = ctx.executor.execute(execution, runtime)
+        assert first.metrics.failovers >= 1
+        assert journal.records_written < len(execution.atoms)
+        assert runtime.journal is journal
+
+        runtime.failure_injector = None
+        second = build_execution(ctx, forced_platform="spark")
+        ctx.executor.execute(second, runtime)
+        journal.close()
+        assert journal.records_written == len(second.atoms)
