@@ -76,8 +76,7 @@ shared-memory transport for columnar channels — same results and
 virtual time either way) and
 ``--calibrate [STORE.json]`` (load cross-run cardinality priors before
 the run and fold the run's observations back in afterwards; the store
-defaults to ``$REPRO_CALIBRATION_STORE`` or ``.repro-calibration.json``;
-``REPRO_NO_CALIBRATION=1`` disables calibration entirely).
+defaults to ``$REPRO_CALIBRATION_STORE`` or ``.repro-calibration.json``).
 
 ``demo`` additionally accepts the fault-tolerance flags: ``--journal
 DIR`` (durable write-ahead journal + atom output payloads under DIR;
@@ -879,14 +878,10 @@ def _render_datapath_report(execution) -> list[str]:
     standalone operators report the batch kernel that will run them.
     """
     from repro.core.execution.plan import LoopAtom
-    from repro.core.physical.compiled import KILL_SWITCH, kernels_enabled
 
-    enabled = kernels_enabled()
-    if enabled:
-        mode = "compiled (single-pass fused closures + batch kernels)"
-    else:
-        mode = f"interpreted fallback ({KILL_SWITCH} is set)"
-    lines = [f"data path: {mode}"]
+    lines = [
+        "data path: compiled (single-pass fused closures + batch kernels)"
+    ]
 
     def walk(plan, indent: str) -> None:
         for atom in plan.atoms:
@@ -902,23 +897,16 @@ def _render_datapath_report(execution) -> list[str]:
                         "streams source, " if op.source_stage is not None
                         else ""
                     )
-                    passes = (
-                        "one compiled pass" if enabled else "per-stage loops"
-                    )
                     lines.append(
                         f"{indent}atom#{atom.id}@{atom.platform.name}: "
-                        f"fused[{op.shape}] -> {passes} ({head}"
+                        f"fused[{op.shape}] -> one compiled pass ({head}"
                         f"{len(op.narrow_stages)} stage(s), "
                         f"udf_load={op.hints.udf_load:g})"
                     )
                 elif op.kind in _BATCH_KERNELS:
-                    kernel = (
-                        _BATCH_KERNELS[op.kind] if enabled
-                        else "per-quantum loop"
-                    )
                     lines.append(
                         f"{indent}atom#{atom.id}@{atom.platform.name}: "
-                        f"{op.describe()} -> {kernel}"
+                        f"{op.describe()} -> {_BATCH_KERNELS[op.kind]}"
                     )
 
     walk(execution, "  ")
@@ -1016,15 +1004,7 @@ def _render_calibration_report(ctx: RheemContext, execution) -> list[str]:
     store = getattr(ctx, "calibration", None)
     if store is None:
         return []
-    from repro.core.optimizer.calibration import (
-        KILL_SWITCH,
-        calibration_enabled,
-    )
-
     lines = ["calibration:"]
-    if not calibration_enabled():
-        lines.append(f"  disabled ({KILL_SWITCH} is set)")
-        return lines
     corrections = getattr(execution, "estimate_corrections", {})
     kinds = getattr(execution, "estimate_kinds", {})
     if corrections:

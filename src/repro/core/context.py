@@ -123,7 +123,7 @@ class RheemContext:
         processes.  The estimator is wrapped in a
         :class:`~repro.core.optimizer.cardinality.CalibratedCardinalityEstimator`
         and every execution's boundary observations are folded back into
-        the store (``REPRO_NO_CALIBRATION=1`` disables all of it);
+        the store;
         ``deadline_ms`` bounds each atom attempt's wall-clock time —
         overruns are charged, counted and escalated through the
         failover ladder (default off);

@@ -208,7 +208,7 @@ class Executor:
         #: optional cross-run calibration store; when attached, the
         #: deterministic per-run observation feed
         #: (``metrics.calibration_observations``) is folded into its
-        #: priors at the end of every execution (kill-switch aware)
+        #: priors at the end of every execution
         self.calibration = calibration
         #: per-atom wall-clock deadline: an ``execute_atom`` call that
         #: outlives it is abandoned and treated as a platform outage
@@ -377,7 +377,7 @@ class Executor:
             if self.calibration is not None:
                 # Fold the deterministic observation feed into the
                 # cross-run priors (no ledger charge: bookkeeping, not
-                # virtual work; a no-op under REPRO_NO_CALIBRATION).
+                # virtual work).
                 self.calibration.ingest(metrics)
             self._emit(
                 EXECUTION_FINISHED,
@@ -961,9 +961,7 @@ class Executor:
         charged — virtual time prices the hand-off identically in both
         modes — and the skip is recorded as an explicit zero-cost
         ``columnar.elide`` entry, so the native ledger is the egest
-        ledger plus documented elide lines and nothing else.  The
-        decision never consults the kernel kill switch: elision changes
-        wall time only, the kill switch changes loop style only.
+        ledger plus documented elide lines and nothing else.
         """
         if isinstance(channel, ColumnarChannel):
             metrics.ledger.charge(

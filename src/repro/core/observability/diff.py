@@ -37,9 +37,8 @@ from repro.errors import ValidationError
 #: run-scoped ids like ``op``/``atom``/``span_id`` or measured outcomes
 #: like ``output_card``/``estimated_cost_ms``/``batch_kernel``/
 #: ``columnar_elided`` — the batch kernel and elision counts are what a
-#: run *did*, so they must not break alignment between a compiled and
-#: an interpreted trace, or a columnar-native and an egest-per-consumer
-#: trace, of the same plan)
+#: run *did*, so they must not break alignment between a row-path, a
+#: columnar-native and an egest-per-consumer trace of the same plan)
 _IDENTITY_ATTRS = (
     "kind",
     "platform",

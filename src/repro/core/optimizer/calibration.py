@@ -24,17 +24,14 @@ optimization, RHEEMix) closes the loop by feeding those discrepancies
 plan order (journal-replay order under the concurrent scheduler), so the
 store state after a run is byte-identical at any ``parallelism``.
 
-**Kill switch.**  ``REPRO_NO_CALIBRATION=1`` (read per call, mirroring
-``REPRO_NO_KERNELS``) disables correction application, store ingestion
-and the distribution-drift replan trigger — restoring the pre-calibration
-behaviour exactly: same plans, same ledger sequences, same outputs.
+Calibration is off unless a store is attached (``calibrate=`` /
+``--calibrate``): no store, no corrections and no ingestion.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
@@ -46,21 +43,6 @@ from repro.core.observability.registry import (
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.metrics import ExecutionMetrics
-
-#: environment kill switch: truthy value disables all calibration paths
-KILL_SWITCH = "REPRO_NO_CALIBRATION"
-
-_TRUTHY = frozenset({"1", "true", "yes", "on"})
-
-
-def calibration_enabled() -> bool:
-    """Whether calibration feedback is active (the default).
-
-    Read per call (not cached) so tests and operators can flip the
-    switch mid-process, mirroring the ``REPRO_NO_KERNELS`` pattern.
-    """
-    return os.environ.get(KILL_SWITCH, "").strip().lower() not in _TRUTHY
-
 
 @dataclass(frozen=True)
 class CalibrationPrior:
@@ -206,11 +188,8 @@ class CalibrationStore:
     def ingest(self, metrics: "ExecutionMetrics") -> int:
         """Fold a finished run's observation feed into the priors.
 
-        Returns the number of pairs ingested.  A no-op (0) when the
-        ``REPRO_NO_CALIBRATION`` kill switch is set.
+        Returns the number of pairs ingested.
         """
-        if not calibration_enabled():
-            return 0
         return self.ingest_observations(metrics.calibration_observations)
 
     def ingest_observations(
@@ -236,11 +215,8 @@ class CalibrationStore:
         (raw estimates pass through unchanged — this is what makes a
         cold store byte-identical to calibration-off).  The factor is
         the geometric mean of observed/raw-estimate, clamped to
-        ``[1/max_correction, max_correction]``.  Returns 1.0 whenever
-        the kill switch is set.
+        ``[1/max_correction, max_correction]``.
         """
-        if not calibration_enabled():
-            return 1.0
         count = 0.0
         log_sum = 0.0
         for key, value in self._samples.series.items():

@@ -156,8 +156,6 @@ class CalibratedCardinalityEstimator(CardinalityEstimator):
     * **cold start** — a store below ``min_samples`` yields correction
       1.0 for every kind, so a cold calibrated estimator is
       byte-identical to the raw one (same estimates, same plans);
-    * **kill switch** — ``REPRO_NO_CALIBRATION=1`` (read per estimate
-      call) bypasses corrections entirely;
     * **exact cardinalities are never corrected** — collection sources
       know their length, and seeded estimates (loop-state feeds) are
       pinned by :meth:`estimate_plan` before this class sees them;
@@ -208,11 +206,7 @@ class CalibratedCardinalityEstimator(CardinalityEstimator):
     def estimate_operator(
         self, operator: PhysicalOperator, input_cards: list[float]
     ) -> float:
-        from repro.core.optimizer.calibration import calibration_enabled
-
         raw = self.base.estimate_operator(operator, input_cards)
-        if not calibration_enabled():
-            return raw
         if isinstance(operator, PCollectionSource):
             return raw  # exact by construction; never corrected
         if not self.correctable(operator.kind):

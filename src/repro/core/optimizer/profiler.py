@@ -166,9 +166,8 @@ class CostProfiler:
     ) -> DatapathProfile:
         """Measure row-mode vs columnar-native data-path rates.
 
-        Runs the *actual* batch kernels (honouring the kernel kill
-        switch, so the measurement reflects what would execute) over a
-        synthetic wide numeric dataset: itemgetter projection,
+        Runs the *actual* batch kernels over a synthetic wide numeric
+        dataset: itemgetter projection,
         single-column predicate filter, columnwise reduce-by sweep, plus
         the boundary costs — row materialisation of packed buffers
         (what ``columnar.egest`` does) and packing rows into buffers

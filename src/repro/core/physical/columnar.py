@@ -29,10 +29,7 @@ differs from the egest-per-consumer path only by the zero-cost
 ``columnar.elide`` entries the executor appends at elided boundaries
 (the boundary's virtual ``columnar.egest`` price is still charged —
 virtual time prices the hand-off, the *real* row materialisation is
-what gets skipped).  ``REPRO_NO_KERNELS=1`` swaps the C-loop variants
-for per-element Python loops over the same buffers without changing
-the elision decisions, so the datapath-equivalence suites hold under
-the ``REPRO_COLUMNAR`` × ``REPRO_NO_KERNELS`` cross-product.
+what gets skipped).
 """
 
 from __future__ import annotations
@@ -42,7 +39,7 @@ from itertools import compress
 from operator import itemgetter
 from typing import Any, Callable, Iterator, Sequence
 
-from repro.core.physical.compiled import kernels_enabled, note_kernel
+from repro.core.physical.compiled import note_kernel
 
 __all__ = [
     "ColumnarBatch",
@@ -248,9 +245,8 @@ def can_elide(op: Any, slot: int, width: int, scalar: bool) -> bool:
     """Whether ``op`` (input ``slot``) consumes this layout natively.
 
     The executor's elide gate: called per consuming hop with the
-    channel's actual layout, so the decision is deterministic and
-    independent of the kernel kill switch (elision changes wall time
-    only; the kill switch changes loop style only).
+    channel's actual layout, so the decision is deterministic
+    (elision changes wall time only).
     """
     kind = op.kind
     if kind == "map":
@@ -346,35 +342,17 @@ def native_map(udf: Any, batch: ColumnarBatch) -> ColumnarBatch | None:
     """Apply an itemgetter projection by selecting buffers; None if
     ineligible for this batch's layout (caller falls back to rows).
 
-    Compiled mode shares the selected buffers zero-copy — a projection
-    over 400k rows is a handful of pointer copies.  The interpreted
-    fallback rebuilds each selected column per element; same values,
-    wall time only.
+    The selected buffers are shared zero-copy — a projection over 400k
+    rows is a handful of pointer copies.
     """
     indices = projection_indices(udf)
     if indices is None or batch.scalar or not _in_range(indices, batch.width):
         return None
     card = len(batch)
-    if kernels_enabled():
-        note_kernel("map.columnar")
-        if len(indices) == 1:
-            return ColumnarBatch([batch.columns[indices[0]]], True, card)
-        return ColumnarBatch(
-            [batch.columns[i] for i in indices], False, card
-        )
+    note_kernel("map.columnar")
     if len(indices) == 1:
-        source = batch.columns[indices[0]]
-        return ColumnarBatch(
-            [array.array(source.typecode, [v for v in source])], True, card
-        )
-    return ColumnarBatch(
-        [
-            array.array(batch.columns[i].typecode, [v for v in batch.columns[i]])
-            for i in indices
-        ],
-        False,
-        card,
-    )
+        return ColumnarBatch([batch.columns[indices[0]]], True, card)
+    return ColumnarBatch([batch.columns[i] for i in indices], False, card)
 
 
 def native_filter(
@@ -383,37 +361,18 @@ def native_filter(
     """Filter via one mask pass over the predicate column; None if
     ineligible for this layout.
 
-    Compiled mode builds the mask with ``map(fn, column)`` (or reuses
-    the column itself for truthiness) and compresses every buffer with
-    ``itertools.compress`` — no row tuples anywhere.  The interpreted
-    fallback evaluates the mask and rebuilds columns per element.
+    The mask is built with ``map(fn, column)`` (or is the column itself
+    for truthiness) and every buffer is compressed with
+    ``itertools.compress`` — no row tuples anywhere.
     """
     spec = predicate_spec(predicate)
     if spec is None or batch.scalar or not _in_range((spec[0],), batch.width):
         return None
     index, fn = spec
     column = batch.columns[index]
-    if kernels_enabled():
-        note_kernel("filter.columnar")
-        flags: Sequence[Any] = (
-            column if fn is None else list(map(fn, column))
-        )
-        out = [
-            array.array(c.typecode, compress(c, flags))
-            for c in batch.columns
-        ]
-    else:
-        flags = (
-            [bool(v) for v in column]
-            if fn is None
-            else [bool(fn(v)) for v in column]
-        )
-        out = [
-            array.array(
-                c.typecode, [v for v, keep in zip(c, flags) if keep]
-            )
-            for c in batch.columns
-        ]
+    note_kernel("filter.columnar")
+    flags: Sequence[Any] = column if fn is None else list(map(fn, column))
+    out = [array.array(c.typecode, compress(c, flags)) for c in batch.columns]
     return ColumnarBatch(out, False, len(out[0]))
 
 
@@ -501,8 +460,7 @@ def run_fused(pipeline: Any, batch: ColumnarBatch) -> Any:
     (layout re-checked per stage — projections change the width), then
     materialises rows once and hands the remainder to the ordinary
     fused runner.  Returns a batch when every stage ran natively, rows
-    otherwise.  Outputs are byte-identical to the row path in both
-    kill-switch modes.
+    otherwise.  Outputs are byte-identical to the row path.
     """
     from repro.core.physical.fusion import compose_stages
 
@@ -518,13 +476,12 @@ def run_fused(pipeline: Any, batch: ColumnarBatch) -> Any:
         if out is None:
             rows = current.rows()
             result = compose_stages(stages[position:])(rows)
-            if native_stages and kernels_enabled():
+            if native_stages:
                 note_kernel("fused.columnar")
             return result
         current = out
         native_stages += 1
-    if kernels_enabled():
-        note_kernel("fused.columnar")
+    note_kernel("fused.columnar")
     return current
 
 

@@ -1,45 +1,25 @@
-"""Compiled batch execution helpers — the data path's fast lane.
+"""Batch execution helpers for the per-quantum operator shapes.
 
-The interpreted data path pays Python bytecode dispatch per quantum per
-operator (one list comprehension per stage).  The helpers here route the
-same work through the CPython C loop instead — ``map()`` / ``filter()`` /
-``itertools.chain.from_iterable`` — which is the stdlib equivalent of
-compiled operator kernels: one fused pass, no per-element frame setup,
-and UDFs that are themselves C callables (``operator.itemgetter``,
-``operator.methodcaller``, builtins) never enter the interpreter at all.
+Each helper runs one operator over a whole batch through the CPython C
+loop — ``map()`` / ``filter()`` / ``itertools.chain.from_iterable`` —
+so there is no per-element frame setup, and UDFs that are themselves C
+callables (``operator.itemgetter``, ``operator.methodcaller``, builtins)
+never enter the interpreter at all.
 
-**Determinism contract.**  Batch kernels change *wall time only*.  Every
-fast path in this module and its callers produces byte-identical outputs,
-the same virtual-time charges, and the same ledger entry sequence as the
-interpreted path; plan surgery (fusion) is independent of the kill
-switch, so the plan shape — and therefore the bill — never varies.
-
-**Kill switch.**  ``REPRO_NO_KERNELS=1`` disables every compiled fast
-path at execution time and falls back to the interpreted per-quantum
-loops.  The equivalence test suite runs every seeded plan in both modes
-and asserts the contract above.
+**Determinism contract.**  Batch kernels decide *wall time only*: outputs,
+virtual-time charges and the ledger entry sequence are functions of the
+plan, never of which kernel ran.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from itertools import chain
 from typing import Any, Callable, Iterable
 
-#: environment kill switch: truthy value disables all compiled kernels
-KILL_SWITCH = "REPRO_NO_KERNELS"
-
-_TRUTHY = frozenset({"1", "true", "yes", "on"})
-
 #: thread-local scratch slot recording which batch kernel last engaged
 #: (drained onto the enclosing operator span by the atom interpreter)
 _note = threading.local()
-
-
-def kernels_enabled() -> bool:
-    """Whether compiled batch kernels are active (the default)."""
-    return os.environ.get(KILL_SWITCH, "").strip().lower() not in _TRUTHY
 
 
 def note_kernel(name: str) -> None:
@@ -84,10 +64,8 @@ def batch_map(udf: Callable[[Any], Any], data: Iterable[Any]) -> Any:
         if native is not None:
             return native
         data = data.rows()
-    if kernels_enabled():
-        note_kernel("map.batch")
-        return list(map(udf, data))
-    return [udf(q) for q in data]
+    note_kernel("map.batch")
+    return list(map(udf, data))
 
 
 def batch_filter(
@@ -103,10 +81,8 @@ def batch_filter(
         if native is not None:
             return native
         data = data.rows()
-    if kernels_enabled():
-        note_kernel("filter.batch")
-        return list(filter(predicate, data))
-    return [q for q in data if predicate(q)]
+    note_kernel("filter.batch")
+    return list(filter(predicate, data))
 
 
 def batch_flatmap(
@@ -119,7 +95,5 @@ def batch_flatmap(
     """
     if getattr(data, "is_columnar_batch", False):
         data = data.rows()
-    if kernels_enabled():
-        note_kernel("flatmap.batch")
-        return list(chain.from_iterable(map(udf, data)))
-    return [out for q in data for out in udf(q)]
+    note_kernel("flatmap.batch")
+    return list(chain.from_iterable(map(udf, data)))

@@ -14,19 +14,11 @@ The rewrite is *plan surgery inside one atom*: results are unchanged
 overhead accounting and pass count drop.  Platforms opt in via
 :meth:`repro.platforms.base.Platform.optimize_atom`.
 
-Two execution modes back a fused chain (see
-:mod:`repro.core.physical.compiled`):
-
-* **compiled** (default) — the stage list compiles once into a nested
-  iterator stack (``map``/``filter``/``chain.from_iterable``) that makes
-  a *single lazy pass* over the input with no per-stage intermediate
-  lists and no Python-level loop; UDFs that are C callables
-  (``operator.itemgetter``, builtins) keep the whole pass in C.
-* **interpreted** (``REPRO_NO_KERNELS=1``) — the historical per-stage
-  list loops, kept as the equivalence baseline.
-
-Both modes produce byte-identical outputs; the plan surgery — and hence
-the virtual bill — is independent of the mode.
+A fused chain's stage list compiles once into a nested iterator stack
+(``map``/``filter``/``chain.from_iterable``) that makes a *single lazy
+pass* over the input with no per-stage intermediate lists and no
+Python-level loop; UDFs that are C callables (``operator.itemgetter``,
+builtins) keep the whole pass in C.
 
 Platforms that stream (java, flink) may additionally fuse a
 :data:`FUSABLE_SOURCE_KINDS` source into the head of a chain
@@ -44,7 +36,7 @@ from repro.core.execution.plan import TaskAtom
 from repro.core.logical.operators import CostHints
 from repro.core.optimizer.cost import OperatorCostInput
 from repro.core.optimizer.workunits import register_work_units
-from repro.core.physical.compiled import kernels_enabled, note_kernel
+from repro.core.physical.compiled import note_kernel
 from repro.core.physical.operators import (
     PFilter,
     PFlatMap,
@@ -84,9 +76,8 @@ class PFusedPipeline(PhysicalOperator):
         self._hints = CostHints(
             udf_load=sum(stage.hints.udf_load for stage in self.narrow_stages)
         )
-        #: compilation cache: (kernels_enabled, compiled runner)
-        self._compiled: tuple[bool, Callable[[Iterable[Any]], list[Any]]] | None
-        self._compiled = None
+        #: compilation cache (see :func:`pipeline_runner`)
+        self._compiled: Callable[[Iterable[Any]], list[Any]] | None = None
 
     @property
     def source_stage(self) -> PhysicalOperator | None:
@@ -148,37 +139,11 @@ def _compiled_stack(
     return iter(current)
 
 
-def _interpreted_run(
-    steps: list[tuple[str, Callable]],
-) -> Callable[[Iterable[Any]], list[Any]]:
-    """The historical per-stage loops: one intermediate list per stage."""
-
-    def run(data: Iterable[Any]) -> list[Any]:
-        current = data
-        for kind, fn in steps:
-            if kind == "map":
-                current = [fn(q) for q in current]
-            elif kind == "filter":
-                current = [q for q in current if fn(q)]
-            else:
-                current = [out for q in current for out in fn(q)]
-        return current if isinstance(current, list) else list(current)
-
-    return run
-
-
 def compose_stages(
     stages: list[PhysicalOperator],
 ) -> Callable[[Iterable[Any]], list[Any]]:
-    """Build the one-pass function applying every stage in order.
-
-    Compiled mode returns a single-pass closure over a nested iterator
-    stack; the kill switch (``REPRO_NO_KERNELS=1``) returns the
-    interpreted per-stage loops instead.  Outputs are identical.
-    """
+    """Build the one-pass function applying every stage in order."""
     steps = _steps_of(stages)
-    if not kernels_enabled():
-        return _interpreted_run(steps)
 
     def run(data: Iterable[Any]) -> list[Any]:
         note_kernel("fused.compiled")
@@ -194,17 +159,8 @@ def compose_stream(
 
     Used by streaming platforms (flink operator chaining) and by fused
     source heads, where the input should never be materialised up front.
-    The interpreted fallback materialises per stage — outputs are
-    identical, only the pass structure differs.
     """
     steps = _steps_of(stages)
-    if not kernels_enabled():
-        interpreted = _interpreted_run(steps)
-
-        def run_interpreted(iterable: Iterable[Any]) -> Iterator[Any]:
-            return iter(interpreted(list(iterable)))
-
-        return run_interpreted
 
     def run(iterable: Iterable[Any]) -> Iterator[Any]:
         note_kernel("fused.compiled")
@@ -216,37 +172,26 @@ def compose_stream(
 def pipeline_runner(
     pipeline: PFusedPipeline,
 ) -> Callable[[Iterable[Any]], list[Any]]:
-    """The compiled runner for ``pipeline``'s narrow stages, cached.
-
-    Compilation happens once per pipeline per kill-switch state; the
-    cache is invalidated when ``REPRO_NO_KERNELS`` flips (tests toggle
-    it within one process).
-    """
-    enabled = kernels_enabled()
-    cached = pipeline._compiled
-    if cached is not None and cached[0] is enabled:
-        return cached[1]
-    runner = compose_stages(pipeline.narrow_stages)
-    pipeline._compiled = (enabled, runner)
+    """The compiled runner for ``pipeline``'s narrow stages, built once."""
+    runner = pipeline._compiled
+    if runner is None:
+        runner = pipeline._compiled = compose_stages(pipeline.narrow_stages)
     return runner
 
 
 def iter_source(stage: PhysicalOperator) -> Iterator[Any]:
-    """Stream the quanta of a fused source head, one at a time.
+    """Stream the quanta of a source, one at a time.
 
     For a text-file source this yields stripped lines *while reading*,
-    so the first fused stage starts before the file is fully read — the
-    file is never materialised as a standalone list.
+    so a fused head's first stage starts before the file is fully read
+    and the file is never materialised as a standalone list; a source
+    that runs un-fused takes ``list()`` of the same stream.
     """
     if isinstance(stage, PTextFileSource):
 
         def lines() -> Iterator[str]:
             with open(stage.path, "r", encoding="utf-8") as handle:
-                if kernels_enabled():
-                    yield from map(_RSTRIP_NEWLINE, handle)
-                else:
-                    for line in handle:
-                        yield line.rstrip("\n")
+                yield from map(_RSTRIP_NEWLINE, handle)
 
         return lines()
     raise TypeError(f"not a fusable source: {stage!r}")

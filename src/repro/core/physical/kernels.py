@@ -17,7 +17,7 @@ from itertools import product as _product
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.core.physical import columnar
-from repro.core.physical.compiled import kernels_enabled, note_kernel
+from repro.core.physical.compiled import note_kernel
 from repro.core.types import KeyUdf
 
 
@@ -54,19 +54,12 @@ def hash_group_by(items: Iterable[Any], key: KeyUdf) -> list[tuple[Any, list[Any
     is an ``operator.itemgetter``/``attrgetter`` — and zips it with the
     rows while filling the hash table.
     """
-    if kernels_enabled():
-        keys, rows, native = _key_build(items, key)
-        note_kernel(
-            "groupby.hash.columnar" if native else "groupby.hash.batch"
-        )
-        groups: dict[Any, list[Any]] = {}
-        setdefault = groups.setdefault
-        for item_key, item in zip(keys, rows):
-            setdefault(item_key, []).append(item)
-        return list(groups.items())
-    groups = {}
-    for item in items:
-        groups.setdefault(key(item), []).append(item)
+    keys, rows, native = _key_build(items, key)
+    note_kernel("groupby.hash.columnar" if native else "groupby.hash.batch")
+    groups: dict[Any, list[Any]] = {}
+    setdefault = groups.setdefault
+    for item_key, item in zip(keys, rows):
+        setdefault(item_key, []).append(item)
     return list(groups.items())
 
 
@@ -100,25 +93,14 @@ def hash_reduce_by(
     ``reduceByKey`` contract), which is what allows distributed engines to
     re-derive the key from partially combined quanta.
     """
-    if kernels_enabled():
-        if getattr(items, "is_columnar_batch", False):
-            swept = columnar.native_reduce_by(items, key, reducer)
-            if swept is not None:
-                return swept
-        keys, rows, native = _key_build(items, key)
-        note_kernel(
-            "reduceby.hash.columnar" if native else "reduceby.hash.batch"
-        )
-        accumulators: dict[Any, Any] = {}
-        for item_key, item in zip(keys, rows):
-            if item_key in accumulators:
-                accumulators[item_key] = reducer(accumulators[item_key], item)
-            else:
-                accumulators[item_key] = item
-        return list(accumulators.values())
-    accumulators = {}
-    for item in items:
-        item_key = key(item)
+    if getattr(items, "is_columnar_batch", False):
+        swept = columnar.native_reduce_by(items, key, reducer)
+        if swept is not None:
+            return swept
+    keys, rows, native = _key_build(items, key)
+    note_kernel("reduceby.hash.columnar" if native else "reduceby.hash.batch")
+    accumulators: dict[Any, Any] = {}
+    for item_key, item in zip(keys, rows):
         if item_key in accumulators:
             accumulators[item_key] = reducer(accumulators[item_key], item)
         else:
@@ -133,17 +115,13 @@ def global_reduce(items: Iterable[Any], reducer: Callable[[Any, Any], Any]) -> l
         accumulator = next(iterator)
     except StopIteration:
         return []
-    if kernels_enabled():
-        if getattr(items, "is_columnar_batch", False) and items.scalar:
-            # iter(batch) on a scalar layout walks the packed buffer
-            # directly — the fold never touches a row list
-            note_kernel("reduce.global.columnar")
-        else:
-            note_kernel("reduce.global.batch")
-        return [_reduce(reducer, iterator, accumulator)]
-    for item in iterator:
-        accumulator = reducer(accumulator, item)
-    return [accumulator]
+    if getattr(items, "is_columnar_batch", False) and items.scalar:
+        # iter(batch) on a scalar layout walks the packed buffer
+        # directly — the fold never touches a row list
+        note_kernel("reduce.global.columnar")
+    else:
+        note_kernel("reduce.global.batch")
+    return [_reduce(reducer, iterator, accumulator)]
 
 
 def hash_join(
@@ -151,38 +129,17 @@ def hash_join(
 ) -> Iterator[tuple[Any, Any]]:
     """Classic build/probe hash equi-join; builds on the smaller side.
 
-    The batch kernel prebuilds both key columns with ``map(key, side)``
-    (one C pass per side — free for itemgetter keys) and zips keys with
-    rows through build and probe.
+    Both key columns are prebuilt with ``map(key, side)`` (one C pass
+    per side — free for itemgetter keys) and zipped with the rows
+    through build and probe.
     """
-    if kernels_enabled():
-        note_kernel("join.hash.batch")
-        yield from _hash_join_batch(left, right, left_key, right_key)
-        return
-    if len(left) <= len(right):
-        table: dict[Any, list[Any]] = {}
-        for item in left:
-            table.setdefault(left_key(item), []).append(item)
-        for right_item in right:
-            for left_item in table.get(right_key(right_item), ()):
-                yield (left_item, right_item)
-    else:
-        table = {}
-        for item in right:
-            table.setdefault(right_key(item), []).append(item)
-        for left_item in left:
-            for right_item in table.get(left_key(left_item), ()):
-                yield (left_item, right_item)
-
-
-def _hash_join_batch(
-    left: Sequence[Any], right: Sequence[Any], left_key: KeyUdf, right_key: KeyUdf
-) -> Iterator[tuple[Any, Any]]:
     empty: tuple[Any, ...] = ()
     left_keys, left_rows, left_native = _key_build(left, left_key)
     right_keys, right_rows, right_native = _key_build(right, right_key)
-    if left_native or right_native:
-        note_kernel("join.hash.columnar")
+    note_kernel(
+        "join.hash.columnar" if left_native or right_native
+        else "join.hash.batch"
+    )
     if len(left_rows) <= len(right_rows):
         table: dict[Any, list[Any]] = {}
         setdefault = table.setdefault
@@ -245,26 +202,16 @@ def nested_loop_join(
 
 def cross_product(left: Sequence[Any], right: Sequence[Any]) -> Iterator[tuple[Any, Any]]:
     """Cartesian product of two sequences."""
-    if kernels_enabled():
-        note_kernel("cross.batch")
-        return _product(left, right)
-    return ((li, ri) for li in left for ri in right)
+    note_kernel("cross.batch")
+    return _product(left, right)
 
 
 def hash_distinct(items: Iterable[Any]) -> list[Any]:
     """Deduplicate hashable items, preserving first-appearance order."""
-    if kernels_enabled():
-        note_kernel("distinct.hash.batch")
-        # dict preserves insertion order; dict.fromkeys dedupes in one
-        # C pass over hashable quanta
-        return list(dict.fromkeys(items))
-    seen: set[Any] = set()
-    result: list[Any] = []
-    for item in items:
-        if item not in seen:
-            seen.add(item)
-            result.append(item)
-    return result
+    note_kernel("distinct.hash.batch")
+    # dict preserves insertion order; dict.fromkeys dedupes in one
+    # C pass over hashable quanta
+    return list(dict.fromkeys(items))
 
 
 def sort_distinct(items: Iterable[Any]) -> list[Any]:

@@ -17,15 +17,13 @@ Mechanics:
   plan; this class only installs the after-atom hook and the tail
   re-plan that :meth:`Executor.execute` continues with;
 * after each atom, its boundary outputs are compared against the round's
-  estimates.  By default the run's misestimate-factor *distribution*
-  drives the decision: boundary factors accumulate in a per-round
-  histogram window (the same buckets as the ``misestimate_factor``
-  metric) and a replan fires when the window's **p90 drifts above the
-  configured band** — one gross outlier or a broad pattern of moderate
-  misestimates both qualify, while a single noisy boundary amid many
-  good ones does not.  ``REPRO_NO_CALIBRATION=1`` falls back to the
-  legacy fixed per-boundary ``replan_factor`` threshold (byte-identical
-  pre-calibration behaviour).  Replans stay bounded by ``max_replans``;
+  estimates.  The run's misestimate-factor *distribution* drives the
+  decision: boundary factors accumulate in a per-round histogram window
+  (the same buckets as the ``misestimate_factor`` metric) and a replan
+  fires when the window's **p90 drifts above the configured band** — one
+  gross outlier or a broad pattern of moderate misestimates both
+  qualify, while a single noisy boundary amid many good ones does not.
+  Replans stay bounded by ``max_replans``;
 * with a :class:`~repro.core.optimizer.calibration.CalibrationStore`
   attached, every boundary observation is folded into cross-run priors
   at the end of the run, and (via a
@@ -56,7 +54,6 @@ from repro.core.metrics import (
 )
 from repro.core.observability.registry import HistogramSeries
 from repro.core.observability.spans import KIND_OPTIMIZER
-from repro.core.optimizer.calibration import calibration_enabled
 from repro.core.optimizer.cost import MovementCostModel
 from repro.core.physical.plan import PhysicalPlan
 from repro.core.replan import plan_operator_ids, remainder_plan
@@ -70,14 +67,13 @@ if TYPE_CHECKING:  # pragma: no cover
 class ProgressiveExecutor(Executor):
     """An Executor that re-optimizes the plan tail on misestimates.
 
-    The replan trigger is *distributional* by default: per optimization
-    round, boundary misestimate factors accumulate into a histogram
-    window (:data:`~repro.core.metrics.MISESTIMATE_BUCKETS` resolution)
-    and a replan fires when the window p90 reaches the high edge of
+    The replan trigger is *distributional*: per optimization round,
+    boundary misestimate factors accumulate into a histogram window
+    (:data:`~repro.core.metrics.MISESTIMATE_BUCKETS` resolution) and a
+    replan fires when the window p90 reaches the high edge of
     ``drift_band``.  The window resets each round — after a replan the
     tail is re-estimated from exact materialised cardinalities, so stale
-    drift must not keep re-triggering.  Under ``REPRO_NO_CALIBRATION=1``
-    the legacy fixed per-boundary ``replan_factor`` check runs instead.
+    drift must not keep re-triggering.
     """
 
     def __init__(
@@ -85,7 +81,6 @@ class ProgressiveExecutor(Executor):
         task_optimizer: "MultiPlatformOptimizer",
         movement: MovementCostModel | None = None,
         max_retries: int = 2,
-        replan_factor: float = 4.0,
         max_replans: int = 3,
         drift_band: tuple[float, float] = (1.0, 4.0),
         calibration: "CalibrationStore | None" = None,
@@ -96,7 +91,6 @@ class ProgressiveExecutor(Executor):
             calibration=calibration,
         )
         self.task_optimizer = task_optimizer
-        self.replan_factor = replan_factor
         self.max_replans = max_replans
         low, high = drift_band
         if not (1.0 <= low <= high):
@@ -113,7 +107,6 @@ class ProgressiveExecutor(Executor):
         """Reset the per-run adaptive state."""
         self._forced_platform = forced_platform
         self._replans = 0
-        self._adaptive = calibration_enabled()
         # Per-round drift window: replans re-estimate the tail from
         # exact cardinalities, so drift evidence must not carry over.
         self._window = HistogramSeries(MISESTIMATE_BUCKETS)
@@ -148,10 +141,9 @@ class ProgressiveExecutor(Executor):
         ``index`` and re-plan the tail (see :meth:`_replan_tail`)."""
         if index + 1 >= len(plan.atoms) or self._replans >= self.max_replans:
             return False
-        atom = plan.atoms[index]
-        if self._adaptive:
-            return self._drift_exceeded(atom, channels, plan, self._window)
-        return self._atom_misestimated(atom, channels, plan)
+        return self._drift_exceeded(
+            plan.atoms[index], channels, plan, self._window
+        )
 
     def _replan_tail(
         self,
@@ -169,23 +161,22 @@ class ProgressiveExecutor(Executor):
             executed |= plan_operator_ids(done)
         remainder = remainder_plan(current.source_plan, executed, channels)
         self._replans += 1
-        if self._adaptive:
-            metrics.registry.counter(
-                "replans_adaptive",
-                "plan-tail replans triggered by p90 drift",
-            ).inc()
-            if tracer is not None:
-                # A zero-charge span between atoms carries the drift event.
-                with tracer.span("replan", KIND_OPTIMIZER):
-                    tracer.event(
-                        "PLAN_REPLANNED",
-                        trigger="p90_drift",
-                        p90=self._window.quantile(0.9),
-                        band_high=self.drift_band[1],
-                        boundaries=self._window.n,
-                        atoms_executed=index + 1,
-                        replan=self._replans,
-                    )
+        metrics.registry.counter(
+            "replans_adaptive",
+            "plan-tail replans triggered by p90 drift",
+        ).inc()
+        if tracer is not None:
+            # A zero-charge span between atoms carries the drift event.
+            with tracer.span("replan", KIND_OPTIMIZER):
+                tracer.event(
+                    "PLAN_REPLANNED",
+                    trigger="p90_drift",
+                    p90=self._window.quantile(0.9),
+                    band_high=self.drift_band[1],
+                    boundaries=self._window.n,
+                    atoms_executed=index + 1,
+                    replan=self._replans,
+                )
         metrics.ledger.charge("replan", 0.5, atom.platform.name, atom.id)
         self._window = HistogramSeries(MISESTIMATE_BUCKETS)
         return self.task_optimizer.optimize(
@@ -215,8 +206,7 @@ class ProgressiveExecutor(Executor):
         test the p90 against the drift band's high edge.
 
         Infinite factors (a zero on one side of the comparison) cannot
-        be bucketed; they are treated as an immediate drift breach,
-        exactly as the legacy fixed threshold treated them.
+        be bucketed; they are treated as an immediate drift breach.
         """
         breached = False
         for factor in self._boundary_factors(atom, channels, execution):
@@ -227,17 +217,6 @@ class ProgressiveExecutor(Executor):
         if breached:
             return True
         return window.n > 0 and window.quantile(0.9) >= self.drift_band[1]
-
-    def _atom_misestimated(
-        self,
-        atom: TaskAtom | LoopAtom,
-        channels: dict[int, CollectionChannel],
-        execution: ExecutionPlan,
-    ) -> bool:
-        return any(
-            factor >= self.replan_factor
-            for factor in self._boundary_factors(atom, channels, execution)
-        )
 
 
 #: backward-compatible alias (the helper moved to repro.core.replan)

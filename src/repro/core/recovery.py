@@ -29,8 +29,8 @@ itself dying.  This module supplies the durable half, and the
   ``BaseException`` so it cannot be absorbed by the retry ladder.
 
 * :func:`config_epoch` — a digest of the execution configuration that
-  changes result bytes or saved payloads (columnar hand-offs, kernel
-  and calibration kill-switches, calibration store): journal headers
+  changes result bytes or saved payloads (columnar hand-offs,
+  calibration, calibration store): journal headers
   embed it so state written under one configuration is never replayed
   into another.
 
@@ -93,8 +93,8 @@ def config_epoch(
 
     Two runs with different epochs must not share journals or their
     payload stores: an output saved under ``columnar=1`` would replay
-    wrong conversion charges into a row-mode run, and kernel /
-    calibration kill-switches change the charge sequence.  The
+    wrong conversion charges into a row-mode run, and calibration
+    changes the plan and so the charge sequence.  The
     columnar-*native* flag is part of the epoch because elided
     boundaries add ``columnar.elide`` ledger entries the egest path
     lacks.  Parallelism is deliberately *excluded* — results and
@@ -104,14 +104,13 @@ def config_epoch(
     excluded for the same reason: a journal written under threads
     resumes under processes and vice versa.
     """
-    from repro.core.optimizer.calibration import calibration_enabled
-    from repro.core.physical.compiled import kernels_enabled
-
     parts = (
         f"columnar={int(bool(columnar))}",
         f"columnar_native={int(bool(columnar) and bool(columnar_native))}",
-        f"kernels={int(kernels_enabled())}",
-        f"calibration={int(bool(calibration) and calibration_enabled())}",
+        # constant since the kernel kill switch was removed; kept so
+        # journals and plan-cache keys written before that still match
+        "kernels=1",
+        f"calibration={int(bool(calibration))}",
         "store=" + os.environ.get("REPRO_CALIBRATION_STORE", "").strip(),
     )
     digest = hashlib.sha256("|".join(parts).encode("utf-8")).hexdigest()

@@ -244,8 +244,7 @@ class Platform(ABC):
             span.set(output_card=self.native_card(native))
             batch_kernel = drain_kernel_note()
             if batch_kernel is not None:
-                # which compiled batch kernel actually engaged (absent
-                # entirely under REPRO_NO_KERNELS=1)
+                # which batch kernel actually engaged
                 span.set(batch_kernel=batch_kernel)
             return native
 

@@ -7,19 +7,16 @@ force the stream and run the shared kernels.
 from __future__ import annotations
 
 import itertools
-import operator as _operator
 from typing import Any
 
 from repro.core.metrics import CostLedger
 from repro.core.physical import kernels
-from repro.core.physical.compiled import kernels_enabled
 from repro.core.physical.fusion import compose_stream, iter_source
 from repro.core.physical.operators import (
     PCollectionSource,
     PSample,
     PSort,
     PTableSource,
-    PTextFileSource,
 )
 from repro.core.runtime import RuntimeContext
 from repro.errors import ExecutionError
@@ -39,17 +36,9 @@ class FCollectionSource(FlinkExecutionOperator):
 
 
 class FTextFileSource(FlinkExecutionOperator):
-    _STRIP = _operator.methodcaller("rstrip", "\n")
-
     def apply_op(self, runtime: RuntimeContext, inputs: list[Any],
                  ledger: CostLedger) -> DataStream:
-        op: PTextFileSource = self.physical
-        with open(op.path, "r", encoding="utf-8") as handle:
-            if kernels_enabled():
-                lines = list(map(self._STRIP, handle))
-            else:
-                lines = [line.rstrip("\n") for line in handle]
-        return DataStream.from_list(lines)
+        return DataStream.from_list(list(iter_source(self.physical)))
 
 
 class FTableSource(FlinkExecutionOperator):
@@ -67,21 +56,15 @@ class FMap(FlinkExecutionOperator):
     def apply_op(self, runtime: RuntimeContext, inputs: list[Any],
                  ledger: CostLedger) -> DataStream:
         udf = self.physical.udf
-        if kernels_enabled():
-            return inputs[0].transform(lambda it: map(udf, it))
-        return inputs[0].transform(lambda it: (udf(q) for q in it))
+        return inputs[0].transform(lambda it: map(udf, it))
 
 
 class FFlatMap(FlinkExecutionOperator):
     def apply_op(self, runtime: RuntimeContext, inputs: list[Any],
                  ledger: CostLedger) -> DataStream:
         udf = self.physical.udf
-        if kernels_enabled():
-            return inputs[0].transform(
-                lambda it: itertools.chain.from_iterable(map(udf, it))
-            )
         return inputs[0].transform(
-            lambda it: (out for q in it for out in udf(q))
+            lambda it: itertools.chain.from_iterable(map(udf, it))
         )
 
 
@@ -89,9 +72,7 @@ class FFilter(FlinkExecutionOperator):
     def apply_op(self, runtime: RuntimeContext, inputs: list[Any],
                  ledger: CostLedger) -> DataStream:
         predicate = self.physical.predicate
-        if kernels_enabled():
-            return inputs[0].transform(lambda it: filter(predicate, it))
-        return inputs[0].transform(lambda it: (q for q in it if predicate(q)))
+        return inputs[0].transform(lambda it: filter(predicate, it))
 
 
 class FZipWithId(FlinkExecutionOperator):

@@ -8,7 +8,6 @@ program looping over collections.
 from __future__ import annotations
 
 import itertools
-import operator as _operator
 from typing import Any
 
 from repro.core.metrics import CostLedger
@@ -18,7 +17,6 @@ from repro.core.physical.compiled import (
     batch_filter,
     batch_flatmap,
     batch_map,
-    kernels_enabled,
 )
 from repro.core.physical.fusion import (
     compose_stream,
@@ -37,7 +35,6 @@ from repro.core.physical.operators import (
     PSortGroupBy,
     PSortMergeJoin,
     PTableSource,
-    PTextFileSource,
 )
 from repro.core.runtime import RuntimeContext
 from repro.errors import ExecutionError
@@ -58,22 +55,15 @@ class JCollectionSource(JavaExecutionOperator):
 class JTextFileSource(JavaExecutionOperator):
     """Standalone text-file scan.
 
-    When the source survives fusion un-fused (e.g. it feeds a wide
-    operator directly), the batch path strips newlines through the C
-    loop; a source feeding a narrow chain is normally fused into a
-    :class:`JFusedPipeline` head instead and *streams* its lines (see
-    :func:`repro.core.physical.fusion.iter_source`).
+    Only a source that survives fusion un-fused (e.g. it feeds a wide
+    operator directly) runs standalone; a source feeding a narrow chain
+    is normally fused into a :class:`JFusedPipeline` head instead and
+    *streams* its lines into the first stage.
     """
-
-    _STRIP = _operator.methodcaller("rstrip", "\n")
 
     def apply_op(self, runtime: RuntimeContext, inputs: list[Any],
                  ledger: CostLedger) -> list[Any]:
-        op: PTextFileSource = self.physical
-        with open(op.path, "r", encoding="utf-8") as handle:
-            if kernels_enabled():
-                return list(map(self._STRIP, handle))
-            return [line.rstrip("\n") for line in handle]
+        return list(iter_source(self.physical))
 
 
 class JTableSource(JavaExecutionOperator):

@@ -9,7 +9,6 @@ exactly this structure.
 
 from __future__ import annotations
 
-import operator as _operator
 from typing import Any
 
 from repro.core import workmeter
@@ -19,15 +18,13 @@ from repro.core.physical.compiled import (
     batch_filter,
     batch_flatmap,
     batch_map,
-    kernels_enabled,
 )
-from repro.core.physical.fusion import compose_stages
+from repro.core.physical.fusion import compose_stages, iter_source
 from repro.core.physical.operators import (
     PCollectionSource,
     PSample,
     PSort,
     PTableSource,
-    PTextFileSource,
 )
 from repro.core.runtime import RuntimeContext
 from repro.errors import ExecutionError
@@ -87,17 +84,9 @@ class STextFileSource(SparkExecutionOperator):
     downstream narrow stages is keyed on.
     """
 
-    _STRIP = _operator.methodcaller("rstrip", "\n")
-
     def apply_op(self, runtime: RuntimeContext, inputs: list[Any],
                  ledger: CostLedger) -> SimRDD:
-        op: PTextFileSource = self.physical
-        with open(op.path, "r", encoding="utf-8") as handle:
-            if kernels_enabled():
-                lines = list(map(self._STRIP, handle))
-            else:
-                lines = [line.rstrip("\n") for line in handle]
-        return self.parallelize(lines)
+        return self.parallelize(list(iter_source(self.physical)))
 
 
 class STableSource(SparkExecutionOperator):

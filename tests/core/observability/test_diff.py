@@ -77,8 +77,8 @@ class TestAlignment:
         assert span_identity(a) != span_identity(b)
 
     def test_outcome_attrs_do_not_distinguish(self):
-        """``batch_kernel`` is what a run *did* — a compiled and an
-        interpreted trace of the same plan must still align."""
+        """``batch_kernel`` is what a run *did* — a row-path and a
+        columnar trace of the same plan must still align."""
         a = _span("atom#1", platform="java", batch_kernel="fused.compiled")
         b = _span("atom#1", platform="java")
         assert span_identity(a) == span_identity(b)

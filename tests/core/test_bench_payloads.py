@@ -94,7 +94,7 @@ def validate_payload(name, document):
 
 
 def test_results_dir_has_payloads():
-    """The repo ships at least one recorded payload (ABL11 baseline)."""
+    """The repo ships at least one recorded payload."""
     assert bench_files(), f"no BENCH_*.json under {RESULTS_DIR}"
 
 

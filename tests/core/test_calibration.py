@@ -3,8 +3,7 @@
 The statistical-feedback harness's foundation layer: priors fold
 correctly (counts, log-means, factor histograms), corrections come from
 *raw* ratios (applied corrections divided back out, so learning is
-stable run over run), snapshot/restore round-trips exactly, and the
-``REPRO_NO_CALIBRATION`` kill switch silences every path.
+stable run over run) and snapshot/restore round-trips exactly.
 """
 
 from __future__ import annotations
@@ -22,39 +21,11 @@ from repro.core.metrics import (
     ExecutionMetrics,
 )
 from repro.core.observability.registry import MetricsRegistry
-from repro.core.optimizer.calibration import (
-    KILL_SWITCH,
-    CalibrationStore,
-    calibration_enabled,
-)
+from repro.core.optimizer.calibration import CalibrationStore
 from repro.core.optimizer.cardinality import (
     CalibratedCardinalityEstimator,
     CardinalityEstimator,
 )
-
-
-class TestKillSwitch:
-    def test_enabled_by_default(self, monkeypatch):
-        monkeypatch.delenv(KILL_SWITCH, raising=False)
-        assert calibration_enabled()
-
-    @pytest.mark.parametrize("value", ["1", "true", "YES", " on "])
-    def test_truthy_values_disable(self, monkeypatch, value):
-        monkeypatch.setenv(KILL_SWITCH, value)
-        assert not calibration_enabled()
-
-    @pytest.mark.parametrize("value", ["", "0", "false", "off"])
-    def test_falsy_values_keep_enabled(self, monkeypatch, value):
-        monkeypatch.setenv(KILL_SWITCH, value)
-        assert calibration_enabled()
-
-    def test_read_per_call(self, monkeypatch):
-        store = CalibrationStore()
-        store.observe("filter", "java", estimated=10.0, observed=1000)
-        monkeypatch.setenv(KILL_SWITCH, "1")
-        assert store.correction("filter") == 1.0
-        monkeypatch.delenv(KILL_SWITCH)
-        assert store.correction("filter") == pytest.approx(100.0)
 
 
 class TestStoreObservations:
@@ -156,16 +127,6 @@ class TestStoreObservations:
         assert store.sample_count() == 2
         assert store.correction("filter") == pytest.approx(10.0)
         assert store.correction("map") == pytest.approx(1.0)
-
-    def test_ingest_noop_under_kill_switch(self, monkeypatch):
-        metrics = ExecutionMetrics()
-        metrics.record_calibration_observation(
-            CalibrationObservation(1, "filter", "java", 10.0, 100)
-        )
-        monkeypatch.setenv(KILL_SWITCH, "1")
-        store = CalibrationStore()
-        assert store.ingest(metrics) == 0
-        assert store.sample_count() == 0
 
     def test_priors_summary(self):
         store = CalibrationStore()
@@ -311,16 +272,6 @@ class TestCalibratedEstimator:
         assert CalibratedCardinalityEstimator.correctable("groupby.hash")
         assert CalibratedCardinalityEstimator.correctable("join.broadcast")
         assert CalibratedCardinalityEstimator.correctable("source.textfile")
-
-    def test_kill_switch_bypasses_corrections(self, ctx, monkeypatch):
-        physical = self._filter_plan(ctx)
-        store = CalibrationStore()
-        store.observe("filter", "java", estimated=1.0, observed=100)
-        estimator = CalibratedCardinalityEstimator(store)
-        monkeypatch.setenv(KILL_SWITCH, "1")
-        raw = CardinalityEstimator().estimate_plan(physical)
-        assert estimator.estimate_plan(physical) == raw
-        assert estimator.last_corrections == {}
 
     def test_wraps_custom_base_estimator(self, ctx):
         class Doubler(CardinalityEstimator):

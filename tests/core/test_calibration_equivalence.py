@@ -4,10 +4,8 @@ Calibration must be a pure *learning* layer: until the store has
 evidence, attaching it may not move a single estimate, plan choice, or
 ledger charge.  For every seeded workload here, outputs, the virtual
 bill, and the full ledger entry sequence are identical between a plain
-context and a ``calibrate=True`` context with a cold store — and
-``REPRO_NO_CALIBRATION=1`` restores that identity even when the store is
-warm.  Mirrors the compiled-data-path suite's ``(label, ms, platform)``
-bill comparison (atom ids are process-global, so labels are compared
+context and a ``calibrate=True`` context with a cold store.  Mirrors
+the data-path suite's ``(label, ms, platform)`` bill comparison (atom ids are process-global, so labels are compared
 positionally).
 """
 
@@ -19,11 +17,7 @@ import pytest
 
 from repro import CostHints, RheemContext
 from repro.core.logical.operators import CollectSink
-from repro.core.optimizer.calibration import (
-    KILL_SWITCH,
-    CalibrationStore,
-    calibration_enabled,
-)
+from repro.core.optimizer.calibration import CalibrationStore
 
 KEY = itemgetter(0)
 
@@ -96,10 +90,9 @@ def skewed_logical_plan(ctx):
 
 
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))
-def test_cold_store_is_byte_identical(monkeypatch, workload):
+def test_cold_store_is_byte_identical(workload):
     """Criterion (a): plain vs calibrate=True-with-cold-store runs have
     identical outputs, virtual bills, and ledger entry sequences."""
-    monkeypatch.delenv(KILL_SWITCH, raising=False)
     run = WORKLOADS[workload]
     out_plain, m_plain = run(RheemContext())
     ctx_cold = RheemContext(calibrate=True)
@@ -112,53 +105,30 @@ def test_cold_store_is_byte_identical(monkeypatch, workload):
     assert ctx_cold.calibration.sample_count() > 0
 
 
-@pytest.mark.parametrize("workload", sorted(WORKLOADS))
-def test_kill_switch_neutralises_a_warm_store(monkeypatch, workload):
-    """``REPRO_NO_CALIBRATION=1`` restores pre-calibration behaviour
-    byte-for-byte even when the attached store is warm and skewed."""
-    monkeypatch.delenv(KILL_SWITCH, raising=False)
-    run = WORKLOADS[workload]
-    out_plain, m_plain = run(RheemContext())
-
-    warm = CalibrationStore()
-    for kind in ("filter", "flatmap", "groupby.hash", "join.hash"):
-        for _ in range(5):
-            warm.observe(kind, "java", estimated=10.0, observed=1_000.0)
-    monkeypatch.setenv(KILL_SWITCH, "1")
-    assert not calibration_enabled()
-    out_killed, m_killed = run(RheemContext(calibrate=warm))
-    assert out_plain == out_killed
-    assert m_plain.virtual_ms == m_killed.virtual_ms
-    assert _bill(m_plain) == _bill(m_killed)
-
-
-def test_adaptive_cold_store_matches_legacy_bill(monkeypatch):
-    """The drift-band trigger (calibration on, cold store) and the
-    legacy fixed threshold (kill switch) replan the seeded skewed plan
-    identically: same outputs, same replan count, same ledger."""
-    monkeypatch.delenv(KILL_SWITCH, raising=False)
+def test_adaptive_cold_store_matches_legacy_bill():
+    """An adaptive run with a cold store attached and one with no store
+    (calibration off) replan the seeded skewed plan identically: same
+    outputs, same replan count, same ledger."""
     ctx_cold = RheemContext(calibrate=True)
     result_cold, replans_cold = ctx_cold.execute_adaptive(
         skewed_logical_plan(ctx_cold)
     )
 
-    monkeypatch.setenv(KILL_SWITCH, "1")
-    ctx_legacy = RheemContext()
-    result_legacy, replans_legacy = ctx_legacy.execute_adaptive(
-        skewed_logical_plan(ctx_legacy)
+    ctx_plain = RheemContext()
+    result_plain, replans_plain = ctx_plain.execute_adaptive(
+        skewed_logical_plan(ctx_plain)
     )
-    assert replans_cold == replans_legacy >= 1
-    assert sorted(result_cold.single) == sorted(result_legacy.single)
+    assert replans_cold == replans_plain >= 1
+    assert sorted(result_cold.single) == sorted(result_plain.single)
     assert (
-        result_cold.metrics.virtual_ms == result_legacy.metrics.virtual_ms
+        result_cold.metrics.virtual_ms == result_plain.metrics.virtual_ms
     )
-    assert _bill(result_cold.metrics) == _bill(result_legacy.metrics)
+    assert _bill(result_cold.metrics) == _bill(result_plain.metrics)
 
 
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))
-def test_warm_store_preserves_outputs(monkeypatch, workload):
+def test_warm_store_preserves_outputs(workload):
     """Corrections may re-place operators but never change results."""
-    monkeypatch.delenv(KILL_SWITCH, raising=False)
     run = WORKLOADS[workload]
     out_plain, _ = run(RheemContext())
     store = CalibrationStore()
@@ -167,13 +137,11 @@ def test_warm_store_preserves_outputs(monkeypatch, workload):
     assert out_warm == out_plain
 
 
-def test_cold_store_trace_shape_matches_plain(monkeypatch):
+def test_cold_store_trace_shape_matches_plain():
     """Span names are identical plain vs cold store: the calibration
     span attributes only appear once corrections actually move an
     estimate."""
     from repro.core.observability import Tracer
-
-    monkeypatch.delenv(KILL_SWITCH, raising=False)
 
     import re
 

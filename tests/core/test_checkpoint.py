@@ -389,7 +389,9 @@ class TestStalenessGuard:
         first = journaled(ctx.executor, execution)
         assert manager.saves >= 1
 
-        monkeypatch.setenv("REPRO_NO_KERNELS", "1")
+        monkeypatch.setattr(
+            ctx.executor, "columnar", not ctx.executor.columnar
+        )
         second, started = started_atoms(
             ctx.executor, lambda: journaled(ctx.executor, execution)
         )

@@ -47,7 +47,6 @@ from repro.core.physical.columnar import (
     predicate_spec,
     projection_indices,
 )
-from repro.core.physical.compiled import KILL_SWITCH
 from repro.errors import ExecutionError
 
 ROWS = [(i % 7, float(i % 5) * 0.5, i * 3, i % 11) for i in range(200)]
@@ -165,50 +164,44 @@ class TestElideGate:
 
 
 # ----------------------------------------------------------------------
-# native kernels == row kernels, both kill-switch modes
+# native kernels == row kernels
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("no_kernels", ["0", "1"])
 class TestNativeKernels:
-    @pytest.fixture(autouse=True)
-    def _kill_switch(self, monkeypatch, no_kernels):
-        monkeypatch.setenv(KILL_SWITCH, no_kernels)
-
-    def test_native_map_matches_row_projection(self, no_kernels):
+    def test_native_map_matches_row_projection(self):
         batch = make_batch()
         out = native_map(itemgetter(3, 1), batch)
         assert out is not None
         assert out.rows() == [itemgetter(3, 1)(r) for r in ROWS]
 
-    def test_native_map_single_index_is_scalar(self, no_kernels):
+    def test_native_map_single_index_is_scalar(self):
         batch = make_batch()
         out = native_map(itemgetter(2), batch)
         assert out is not None and out.scalar
         assert list(out) == [r[2] for r in ROWS]
 
-    def test_native_map_zero_copy_when_compiled(self, no_kernels):
+    def test_native_map_zero_copy_when_compiled(self):
         batch = make_batch()
         out = native_map(itemgetter(1, 3), batch)
-        shares = out.columns[0] is batch.columns[1]
-        assert shares == (no_kernels == "0")
+        assert out.columns[0] is batch.columns[1]
 
-    def test_native_map_rejects_non_projection(self, no_kernels):
+    def test_native_map_rejects_non_projection(self):
         assert native_map(lambda t: t[0], make_batch()) is None
         assert native_map(itemgetter(9), make_batch()) is None
 
-    def test_native_filter_matches_row_filter(self, no_kernels):
+    def test_native_filter_matches_row_filter(self):
         batch = make_batch()
         predicate = ColumnPredicate(0, (3).__gt__)  # keep col0 < 3
         out = native_filter(predicate, batch)
         assert out is not None
         assert out.rows() == [r for r in ROWS if predicate(r)]
 
-    def test_native_filter_truthiness_predicate(self, no_kernels):
+    def test_native_filter_truthiness_predicate(self):
         batch = make_batch()
         out = native_filter(itemgetter(0), batch)
         assert out is not None
         assert out.rows() == [r for r in ROWS if r[0]]
 
-    def test_native_reduce_by_matches_row_kernel(self, no_kernels):
+    def test_native_reduce_by_matches_row_kernel(self):
         key = itemgetter(0)
         reducer = ColumnwiseReduce(("key", "sum", "sum", "min"))
         out = native_reduce_by(make_batch(), key, reducer)
@@ -216,13 +209,13 @@ class TestNativeKernels:
         expected = kernels.hash_reduce_by(list(ROWS), key, reducer)
         assert list(out) == list(expected)
 
-    def test_native_reduce_by_requires_declared_reducer(self, no_kernels):
+    def test_native_reduce_by_requires_declared_reducer(self):
         out = native_reduce_by(
             make_batch(), itemgetter(0), lambda a, b: a
         )
         assert out is None
 
-    def test_native_reduce_by_overflow_falls_back_to_rows(self, no_kernels):
+    def test_native_reduce_by_overflow_falls_back_to_rows(self):
         # int64-packed inputs whose sum escapes int64: the sweep keeps
         # exact Python ints and returns row tuples (a batch could not
         # hold them), never a wrong answer
@@ -237,7 +230,7 @@ class TestNativeKernels:
         )
         assert out[0] == (0, 2 * big)
 
-    def test_native_keys_reads_the_buffer(self, no_kernels):
+    def test_native_keys_reads_the_buffer(self):
         batch = make_batch()
         built = native_keys(batch, itemgetter(0))
         assert built is not None

@@ -1,19 +1,21 @@
-"""Property-style equivalence: compiled data path vs interpreter.
+"""The data path against answers computed without the engine.
 
-The compiled data path (fused single-pass closures, batch kernels,
-streaming sources) must be a pure wall-clock optimization: for every
-seeded plan the outputs, the virtual bill, and the full ledger entry
-sequence are identical with ``REPRO_NO_KERNELS`` unset and set.  Atom
-ids are process-global so the comparison uses ``(label, ms, platform)``
+Every seeded plan's output is checked against plain Python —
+``benchmarks.e2e.reference`` where it has the query, a few lines in the
+test otherwise — and run twice: the outputs, the virtual bill and the
+full ledger entry sequence must repeat exactly.  Atom ids are
+process-global so the bill comparison uses ``(label, ms, platform)``
 tuples — the sequence and the amounts must match entry for entry.
 """
 
 from __future__ import annotations
 
+import math
 from operator import itemgetter
 
 import pytest
 
+from benchmarks.e2e import reference
 from repro import RheemContext
 from repro.apps.graph.datagen import erdos_renyi
 from repro.apps.graph.pagerank import PageRank
@@ -21,7 +23,7 @@ from repro.apps.ml.datagen import linearly_separable, sample_blobs
 from repro.apps.ml.kmeans import KMeans
 from repro.apps.ml.svm import SVMClassifier
 from repro.apps.sql import SqlSession
-from repro.core.physical.compiled import KILL_SWITCH, kernels_enabled
+from repro.util.rng import make_rng
 
 KEY = itemgetter(0)
 
@@ -33,23 +35,22 @@ def _bill(metrics):
     ]
 
 
-def run_both_modes(monkeypatch, run):
-    """Run ``run()`` with kernels on, then off; return both summaries."""
-    monkeypatch.delenv(KILL_SWITCH, raising=False)
-    assert kernels_enabled()
-    outputs_on, metrics_on = run()
-    monkeypatch.setenv(KILL_SWITCH, "1")
-    assert not kernels_enabled()
-    outputs_off, metrics_off = run()
-    monkeypatch.delenv(KILL_SWITCH, raising=False)
-    return (outputs_on, metrics_on), (outputs_off, metrics_off)
+def assert_matches(run, expected):
+    """``run()`` answers ``expected``, and a second run repeats the
+    first: same outputs, same virtual time, same bill."""
+    outputs, metrics = run()
+    assert reference.same(outputs, expected)
+    outputs_again, metrics_again = run()
+    assert outputs_again == outputs
+    assert metrics_again.virtual_ms == metrics.virtual_ms
+    assert _bill(metrics_again) == _bill(metrics)
 
 
-def assert_equivalent(monkeypatch, run):
-    (out_on, m_on), (out_off, m_off) = run_both_modes(monkeypatch, run)
-    assert out_on == out_off
-    assert m_on.virtual_ms == m_off.virtual_ms
-    assert _bill(m_on) == _bill(m_off)
+def _sum_by_key(pairs):
+    totals: dict = {}
+    for key, value in pairs:
+        totals[key] = totals.get(key, 0) + value
+    return sorted(totals.items())
 
 
 WORDS = [
@@ -69,7 +70,8 @@ def _context(platform):
     return RheemContext()
 
 
-def _wordcount(platform):
+@pytest.mark.parametrize("platform", [None, "java", "spark", "flink"])
+def test_wordcount_equivalent(platform):
     def run():
         ctx = _context(platform)
         return (
@@ -81,22 +83,18 @@ def _wordcount(platform):
             .collect_with_metrics(platform=platform)
         )
 
-    return run
-
-
-@pytest.mark.parametrize("platform", [None, "java", "spark", "flink"])
-def test_wordcount_equivalent(monkeypatch, platform):
-    assert_equivalent(monkeypatch, _wordcount(platform))
+    counts = reference.wordcount(WORDS)
+    assert_matches(
+        run, sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+    )
 
 
 @pytest.mark.parametrize("platform", ["java", "flink", "spark"])
-def test_textfile_pipeline_equivalent(monkeypatch, tmp_path, platform):
+def test_textfile_pipeline_equivalent(tmp_path, platform):
     """Streaming fused sources (java/flink) vs materialised (spark)."""
+    lines = [f"row {i} value {i * i}" for i in range(200)]
     path = tmp_path / "lines.txt"
-    path.write_text(
-        "\n".join(f"row {i} value {i * i}" for i in range(200)) + "\n",
-        encoding="utf-8",
-    )
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     def run():
         ctx = _context(platform)
@@ -110,22 +108,28 @@ def test_textfile_pipeline_equivalent(monkeypatch, tmp_path, platform):
             .collect_with_metrics(platform=platform)
         )
 
-    assert_equivalent(monkeypatch, run)
+    numbers = {
+        int(token)
+        for line in lines for token in line.split() if token.isdigit()
+    }
+    assert_matches(run, sorted(numbers))
 
 
-def test_sql_groupby_equivalent(monkeypatch, people, people_schema):
+def test_sql_groupby_equivalent(people, people_schema):
     def run():
         ctx = RheemContext()
         session = SqlSession(ctx)
         session.register_table("people", people, people_schema)
-        return session.execute_with_metrics(
+        rows, metrics = session.execute_with_metrics(
             "SELECT dept, COUNT(*) AS n FROM people GROUP BY dept"
         )
+        return sorted(tuple(row) for row in rows), metrics
 
-    assert_equivalent(monkeypatch, run)
+    dept = people_schema.fields.index("dept")
+    assert_matches(run, _sum_by_key((row[dept], 1) for row in people))
 
 
-def test_join_pipeline_equivalent(monkeypatch):
+def test_join_pipeline_equivalent():
     left = [(i % 7, i) for i in range(60)]
     right = [(i % 7, -i) for i in range(35)]
 
@@ -141,10 +145,37 @@ def test_join_pipeline_equivalent(monkeypatch):
             .collect_with_metrics(platform="java")
         )
 
-    assert_equivalent(monkeypatch, run)
+    assert_matches(
+        run,
+        _sum_by_key(
+            (lk, lv + rv) for lk, lv in left for rk, rv in right if lk == rk
+        ),
+    )
 
 
-def test_kmeans_equivalent(monkeypatch):
+def _lloyd(data, k, max_iterations, tolerance, seed):
+    """Lloyd's algorithm from ``KMeans``'s documented seeding: nearest
+    centroid (lowest index on ties), empty clusters keep theirs, stop
+    when the centroids' total shift drops below ``tolerance``."""
+    centroids = make_rng(seed, "kmeans-init").sample(data, k)
+    for _ in range(max_iterations):
+        members: list = [[] for _ in centroids]
+        for point in data:
+            distances = [math.dist(point, c) for c in centroids]
+            members[distances.index(min(distances))].append(point)
+        updated = [
+            tuple(sum(axis) / len(group) for axis in zip(*group))
+            if group else centroid
+            for group, centroid in zip(members, centroids)
+        ]
+        shift = sum(math.dist(a, b) for a, b in zip(centroids, updated))
+        centroids = updated
+        if shift < tolerance:
+            break
+    return centroids
+
+
+def test_kmeans_equivalent():
     data, _ = sample_blobs(60, k=3, dim=2, seed=11)
 
     def run():
@@ -152,10 +183,12 @@ def test_kmeans_equivalent(monkeypatch):
         model.fit(RheemContext(), data, platform="java")
         return model.centroids, model.metrics
 
-    assert_equivalent(monkeypatch, run)
+    assert_matches(
+        run, _lloyd(data, k=3, max_iterations=6, tolerance=1e-6, seed=5)
+    )
 
 
-def test_svm_equivalent(monkeypatch):
+def test_svm_equivalent():
     data = linearly_separable(40, dim=3, seed=3)
 
     def run():
@@ -163,10 +196,10 @@ def test_svm_equivalent(monkeypatch):
         model.fit(RheemContext(), data, platform="java")
         return (model.weights, model.bias), model.metrics
 
-    assert_equivalent(monkeypatch, run)
+    assert_matches(run, reference.svm_fit(data, 5))
 
 
-def test_pagerank_equivalent(monkeypatch):
+def test_pagerank_equivalent():
     edges = erdos_renyi(40, 0.1, seed=9)
 
     def run():
@@ -174,25 +207,23 @@ def test_pagerank_equivalent(monkeypatch):
         ranks = pr.run(RheemContext(), edges, platform="java")
         return ranks, pr.metrics
 
-    assert_equivalent(monkeypatch, run)
+    assert_matches(run, reference.pagerank(edges, 4, 0.85))
 
 
-def test_parallel_scheduler_equivalent(monkeypatch):
-    """The kill switch commutes with the concurrent scheduler."""
+def test_parallel_scheduler_equivalent():
+    """The answer and the bill hold under the concurrent scheduler."""
+    data = [(i % 5, i) for i in range(80)]
 
     def run():
         ctx = RheemContext(parallelism=4)
-        outputs = {}
-        metrics = None
-        handle = (
-            ctx.collection([(i % 5, i) for i in range(80)])
+        return (
+            ctx.collection(data)
             .map(itemgetter(1, 0))
             .filter(KEY)
             .map(itemgetter(1, 0))
             .reduce_by(KEY, lambda a, b: (a[0], a[1] + b[1]))
             .sort(KEY)
+            .collect_with_metrics(platform="java")
         )
-        outputs, metrics = handle.collect_with_metrics(platform="java")
-        return outputs, metrics
 
-    assert_equivalent(monkeypatch, run)
+    assert_matches(run, _sum_by_key((k, v) for k, v in data if v))

@@ -87,27 +87,23 @@ class TestScrubber:
 
 
 class TestExplainGoldens:
-    def test_explain_demo(self, capsys, monkeypatch):
-        monkeypatch.delenv("REPRO_NO_CALIBRATION", raising=False)
+    def test_explain_demo(self, capsys):
         assert main(["explain", "demo"]) == 0
         assert_matches_golden(
             "explain_demo.txt", capsys.readouterr().out
         )
 
-    def test_explain_demo_cold_calibration(self, capsys, monkeypatch, tmp_path):
+    def test_explain_demo_cold_calibration(self, capsys, tmp_path):
         """A cold store adds the calibration section but must not move a
         single candidate estimate or assignment line."""
-        monkeypatch.delenv("REPRO_NO_CALIBRATION", raising=False)
         store = tmp_path / "store.json"
         assert main(["explain", "demo", "--calibrate", str(store)]) == 0
         out = capsys.readouterr().out
         assert_matches_golden("explain_demo_calibrated.txt", out)
 
-    def test_cold_calibrated_prefix_matches_plain(self, capsys, monkeypatch,
-                                                  tmp_path):
+    def test_cold_calibrated_prefix_matches_plain(self, capsys, tmp_path):
         """The calibrated explain is the plain explain plus a trailing
         calibration section — cold priors change nothing upstream."""
-        monkeypatch.delenv("REPRO_NO_CALIBRATION", raising=False)
         assert main(["explain", "demo"]) == 0
         plain = scrub(capsys.readouterr().out)
         store = tmp_path / "store.json"
@@ -116,8 +112,7 @@ class TestExplainGoldens:
         assert calibrated.startswith(plain.rstrip("\n"))
         assert "calibration:" in calibrated
 
-    def test_explain_sql(self, capsys, monkeypatch, tmp_path):
-        monkeypatch.delenv("REPRO_NO_CALIBRATION", raising=False)
+    def test_explain_sql(self, capsys, tmp_path):
         csv = tmp_path / "people.csv"
         csv.write_text(
             "name,city,salary\n"

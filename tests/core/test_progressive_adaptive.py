@@ -123,19 +123,6 @@ class TestStatisticalFeedback:
         assert events[0].attributes["p90"] >= 4.0
         assert events[0].attributes["band_high"] == 4.0
 
-    def test_kill_switch_uses_legacy_trigger(self, ctx, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_CALIBRATION", "1")
-        progressive = ProgressiveExecutor(ctx.task_optimizer)
-        result, replans = progressive.execute_progressively(
-            misestimated_loop_plan(ctx)
-        )
-        assert replans >= 1  # gross misestimate still replans
-        assert len(result.single) == 20_000
-        # ...but through the legacy per-boundary path: no adaptive counter
-        assert (
-            result.metrics.registry.counter("replans_adaptive").total() == 0
-        )
-
 
 class TestDriftBand:
     def test_band_validation(self, ctx):
@@ -154,15 +141,21 @@ class TestDriftBand:
         assert replans == 0
         assert len(result.single) == 20_000
 
-    def test_default_band_replans_like_legacy(self, ctx, monkeypatch):
-        """On a single-gross-outlier plan the drift trigger and the
-        legacy fixed threshold agree (single-sample p90 is exact)."""
+    def test_default_band_replans_like_legacy(self, ctx):
+        """On a single-gross-outlier plan the drift trigger and a fixed
+        per-boundary threshold at the band's high edge agree
+        (single-sample p90 is exact)."""
+
+        class FixedThreshold(ProgressiveExecutor):
+            def _drift_exceeded(self, atom, channels, execution, window):
+                factors = self._boundary_factors(atom, channels, execution)
+                return any(f >= self.drift_band[1] for f in factors)
+
         adaptive = ProgressiveExecutor(ctx.task_optimizer)
         _, drift_replans = adaptive.execute_progressively(
             misestimated_loop_plan(ctx)
         )
-        monkeypatch.setenv("REPRO_NO_CALIBRATION", "1")
-        legacy = ProgressiveExecutor(ctx.task_optimizer)
+        legacy = FixedThreshold(ctx.task_optimizer)
         _, legacy_replans = legacy.execute_progressively(
             misestimated_loop_plan(ctx)
         )

@@ -186,21 +186,21 @@ class TestConfigEpoch:
     def test_sensitive_to_columnar(self):
         assert config_epoch(columnar=True) != config_epoch(columnar=False)
 
-    def test_sensitive_to_kernel_kill_switch(self, monkeypatch):
-        base = config_epoch()
-        monkeypatch.setenv("REPRO_NO_KERNELS", "1")
-        assert config_epoch() != base
+    def test_digests_pinned(self, monkeypatch):
+        """Journals and plan-cache keys written by earlier versions
+        carry these digests; a changed value orphans every one."""
+        monkeypatch.delenv("REPRO_CALIBRATION_STORE", raising=False)
+        assert config_epoch() == "71bf48807df5ce22"
+        assert (
+            config_epoch(columnar=True, columnar_native=True)
+            == "a939738c06943a66"
+        )
+        assert config_epoch(calibration=True) == "60473835f7cebcea"
 
     def test_sensitive_to_calibration_store(self, monkeypatch):
         base = config_epoch(calibration=True)
         monkeypatch.setenv("REPRO_CALIBRATION_STORE", "/tmp/priors.json")
         assert config_epoch(calibration=True) != base
-
-    def test_calibration_kill_switch_neutralises_flag(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_CALIBRATION", "1")
-        assert config_epoch(calibration=True) == config_epoch(
-            calibration=False
-        )
 
 
 # ----------------------------------------------------------------------

@@ -343,9 +343,10 @@ def test_resume_with_mismatched_epoch_starts_fresh(tmp_path, monkeypatch):
     rundir = tmp_path / "epoch-flip"
     with pytest.raises(SimulatedCrash):
         harness.run(rundir, crash_at=0, mode="after")
-    # a kernel kill-switch change between crash and resume changes the
+    # a columnar-transport change between crash and resume changes the
     # config epoch: the journal must not be replayed
-    monkeypatch.setenv("REPRO_NO_KERNELS", "1")
+    executor = harness.ctx.executor
+    monkeypatch.setattr(executor, "columnar", not executor.columnar)
     result, _journal, _tracer, _ = harness.run(rundir)
     assert result.metrics.resumes == 0
     assert result.single == reference["output"]
