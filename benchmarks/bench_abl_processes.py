@@ -22,8 +22,8 @@ The speedup floor is hardware-gated: escaping the GIL can only show up
 on a host with ≥2 cores (CI runners qualify).  On a single-core host
 the same grid still runs and the byte-identity assertions still bind,
 but the wall contest degrades to an overhead bound — processes must
-stay within ~1.4x of threads (fork + queue + shared-memory transport
-cost) — and the payload records ``cores`` plus the floor actually
+stay within ~1.4x of threads (fork + queue + pickle cost) — and the
+payload records ``cores`` plus the floor actually
 enforced, so the perf observatory gates each run against its own
 recorded floor.
 """

@@ -71,8 +71,7 @@ JSON, or JSONL span log when the file ends in ``.jsonl``) and
 accept ``--parallelism N`` (run independent task atoms concurrently —
 results and virtual time are identical at any setting),
 ``--execution-mode {thread,process}`` (which backend runs concurrent
-atoms: pool threads, or forked worker processes with zero-copy
-shared-memory transport for columnar channels — same results and
+atoms: pool threads, or forked worker processes — same results and
 virtual time either way) and
 ``--calibrate [STORE.json]`` (load cross-run cardinality priors before
 the run and fold the run's observations back in afterwards; the store
@@ -140,8 +139,7 @@ def _add_execution_mode_flag(subparser: argparse.ArgumentParser) -> None:
         default=None,
         help=(
             "concurrent scheduler backend: 'thread' or 'process' "
-            "(forked workers + zero-copy shared-memory columnar "
-            "transport; default: $REPRO_EXECUTION_MODE or thread; "
+            "(forked workers; default: $REPRO_EXECUTION_MODE or thread; "
             "results and virtual time are identical either way)"
         ),
     )

@@ -14,29 +14,18 @@ and out is explicit work, charged to the cost ledger like any movement
 Process-mode transport
 ----------------------
 
-Under ``Executor(execution_mode="process")`` the concurrent scheduler's
-workers are separate processes, and a columnar channel's buffers cross
-the boundary through a ``multiprocessing.shared_memory`` segment instead
-of a pickle stream: the producing worker copies each ``'q'``/``'d'``
-buffer into one segment (:func:`export_columnar`) and ships only a tiny
-:class:`ShmSegmentDescriptor`; the coordinator publishes a
-:class:`ShmColumnarChannel` that answers ``len``/``width``/
-``payload_bytes`` from descriptor metadata alone and attaches the
-segment lazily on first real consumption.  Row/collection channels fall
-back to ordinary pickling.  Segment lifetime is managed manually — a
-module-level registry tracks every live segment this process must
-unlink, with an ``atexit`` backstop for abnormal interpreter teardown —
-because the stdlib ``resource_tracker`` double-counts attachments on
-the supported interpreters (bpo-39959).
+Under ``Executor(execution_mode="process")`` the scheduler's workers are
+separate processes, and every channel — row or columnar — crosses the
+boundary the same way: inside the one pickle the sender makes of its
+task or result message (:mod:`repro.core.scheduler`).  A columnar
+channel pickles as its column buffers only (:meth:`ColumnarChannel.
+__getstate__`); the row view is rebuilt on the other side on demand.
 """
 
 from __future__ import annotations
 
 import array
-import atexit
-import os
 import sys
-from dataclasses import dataclass
 from typing import Any, Sequence
 
 from repro.core.physical.columnar import ColumnarBatch
@@ -351,6 +340,21 @@ class ColumnarChannel(CollectionChannel):
         self._columns = []
         self.data = None
 
+    def __getstate__(self) -> tuple:
+        """Pickle the buffers only: a cached row view would ship every
+        value a second time, and the receiver rebuilds it on demand."""
+        return (
+            self._columns, self._scalar, self._card,
+            self.producer_platform, self._released_card,
+        )
+
+    def __setstate__(self, state: tuple) -> None:
+        (
+            self._columns, self._scalar, self._card,
+            self.producer_platform, self._released_card,
+        ) = state
+        self.data = None
+
     def __len__(self) -> int:
         if self._released_card is not None:
             return self._released_card
@@ -363,269 +367,3 @@ class ColumnarChannel(CollectionChannel):
             f"ColumnarChannel(n={len(self)}, {layout}, "
             f"from={self.producer_platform!r}{state})"
         )
-
-
-# ----------------------------------------------------------------------
-# shared-memory transport (process execution mode)
-# ----------------------------------------------------------------------
-
-#: segment-name prefix; includes the coordinator pid so parallel test
-#: runs never collide and the leak-check fixture can scan ``/dev/shm``
-#: for exactly this process's segments
-_SHM_PREFIX = "rpshm"
-
-#: names of segments this process created and must eventually unlink
-_live_segments: set[str] = set()
-
-
-def shm_segment_name(nonce: int, index: int, position: int) -> str:
-    """A unique, short (macOS caps names at 31 chars) segment name for
-    one atom output: coordinator pid × per-run nonce × plan index ×
-    output position."""
-    return f"{_SHM_PREFIX}{os.getpid():x}g{nonce:x}i{index}o{position}"
-
-
-def _untrack_shm(shm) -> None:
-    """Opt a segment out of the stdlib resource tracker.
-
-    On the supported interpreters ``SharedMemory`` registers the name on
-    *create and on every attach* (bpo-39959), so tracker-driven cleanup
-    would double-unlink and spam warnings.  Lifetime is managed by the
-    registry below instead.
-    """
-    try:
-        from multiprocessing import resource_tracker
-
-        resource_tracker.unregister(shm._name, "shared_memory")
-    except Exception:  # pragma: no cover - tracker internals shifted
-        pass
-
-
-def register_segment(name: str) -> None:
-    """Track ``name`` as a segment this process is responsible for.
-
-    The coordinator registers names *before* dispatching the task that
-    creates them, so a crash between dispatch and completion still
-    unlinks (creation that never happened is tolerated by
-    :func:`unlink_segment`).
-    """
-    _live_segments.add(name)
-
-
-def unlink_segment(name: str) -> None:
-    """Unlink ``name`` if it exists and forget it either way.
-
-    Idempotent and tolerant of never-created / already-unlinked names —
-    exactly what the scheduler's failure paths need.
-    """
-    from multiprocessing import shared_memory
-
-    try:
-        shm = shared_memory.SharedMemory(name=name)
-    except (FileNotFoundError, OSError):
-        pass
-    else:
-        # No _untrack_shm here: ``unlink()`` unregisters internally,
-        # balancing the register the attach just performed; untracking
-        # as well would double-unregister and make the tracker process
-        # log a KeyError.
-        shm.close()
-        try:
-            shm.unlink()
-        except FileNotFoundError:  # pragma: no cover - unlink race
-            _untrack_shm(shm)
-    _live_segments.discard(name)
-
-
-def live_segments() -> frozenset[str]:
-    """Names of segments currently registered (the leak-check surface)."""
-    return frozenset(_live_segments)
-
-
-def reset_segment_tracking() -> None:
-    """Forget every tracked name without unlinking.
-
-    Called at forked-worker start: the inherited registry belongs to
-    the coordinator, and a worker must never unlink the coordinator's
-    live segments on its way out.
-    """
-    _live_segments.clear()
-
-
-@atexit.register
-def _unlink_segments_at_exit() -> None:  # pragma: no cover - teardown
-    """Backstop: abnormal interpreter teardown must not leak segments."""
-    for name in list(_live_segments):
-        try:
-            unlink_segment(name)
-        except Exception:
-            pass
-
-
-@dataclass(frozen=True)
-class ShmSegmentDescriptor:
-    """Everything needed to rebuild a columnar channel from a segment.
-
-    Small and picklable — this is what actually crosses the process
-    boundary; the buffer payload never enters the result pickle.
-    ``nbytes`` is the exact :meth:`ColumnarChannel.payload_bytes` of the
-    exported channel (column counts × item sizes), which is what lets
-    the profiler's ``shm_bytes`` accounting reconcile byte-for-byte.
-    """
-
-    name: str
-    codes: tuple[str, ...]
-    counts: tuple[int, ...]
-    scalar: bool
-    card: int
-    producer_platform: str
-    nbytes: int
-
-
-def export_columnar(
-    channel: ColumnarChannel, name: str
-) -> ShmSegmentDescriptor:
-    """Copy a columnar channel's buffers into one shared-memory segment.
-
-    One buffer-protocol copy per column (``memoryview(col).cast("B")``
-    straight into the mapping) — the payload is never pickled.  The
-    caller owns the name (the coordinator pre-registers it); the segment
-    is closed here and re-attached lazily by consumers.
-    """
-    from multiprocessing import shared_memory
-
-    columns = channel.columns
-    codes = tuple(col.typecode for col in columns)
-    counts = tuple(col.buffer_info()[1] for col in columns)
-    nbytes = channel.payload_bytes()
-    shm = shared_memory.SharedMemory(name=name, create=True, size=max(1, nbytes))
-    _untrack_shm(shm)
-    try:
-        buf = shm.buf
-        offset = 0
-        for col in columns:
-            raw = memoryview(col).cast("B")
-            buf[offset:offset + len(raw)] = raw
-            offset += len(raw)
-    finally:
-        shm.close()
-    return ShmSegmentDescriptor(
-        name=name,
-        codes=codes,
-        counts=counts,
-        scalar=channel.scalar,
-        card=len(channel),
-        producer_platform=channel.producer_platform,
-        nbytes=nbytes,
-    )
-
-
-class ShmColumnarChannel(ColumnarChannel):
-    """A columnar channel whose buffers live in a shared-memory segment.
-
-    Metadata-only until someone actually consumes the payload:
-    ``len``/``width``/``scalar``/``payload_bytes`` answer from the
-    descriptor, so coordinator bookkeeping (movement pricing, journal
-    output shapes, refcounting) never maps the segment.  First real
-    consumption (:meth:`require_data`, :meth:`batch`, :attr:`columns`)
-    attaches, rebuilds the stdlib ``array`` columns (kernels need the
-    full ``array`` API — ``typecode``, ``buffer_info`` — which a
-    memoryview cannot provide), caches them and detaches immediately.
-
-    Exactly one instance per segment is the *owner* (the coordinator's
-    published copy): refcount release unlinks through it.  Worker-side
-    instances rebuilt from shipped descriptors only ever attach.
-    """
-
-    __slots__ = ("_descriptor", "_owner")
-
-    def __init__(self, descriptor: ShmSegmentDescriptor, *, owner: bool):
-        # mirrors ColumnarChannel.__init__ with lazily-attached columns
-        self._columns: list[array.array] | None = None  # type: ignore[assignment]
-        self._scalar = descriptor.scalar
-        self._card = descriptor.card
-        self.data = None
-        self.producer_platform = descriptor.producer_platform
-        self._released_card = None
-        self._descriptor = descriptor
-        self._owner = owner
-
-    @property
-    def descriptor(self) -> ShmSegmentDescriptor:
-        """The transport descriptor (re-shipped to consumer workers)."""
-        return self._descriptor
-
-    def _materialise(self) -> list[array.array]:
-        """Attach the segment, rebuild + cache the columns, detach."""
-        if self._columns is None:
-            from multiprocessing import shared_memory
-
-            descriptor = self._descriptor
-            try:
-                shm = shared_memory.SharedMemory(name=descriptor.name)
-            except FileNotFoundError:
-                raise ExecutionError(
-                    f"shared-memory segment {descriptor.name!r} vanished "
-                    "before its channel was consumed (segment-lifetime bug)"
-                ) from None
-            _untrack_shm(shm)
-            try:
-                buf = shm.buf
-                columns = []
-                offset = 0
-                for code, count in zip(descriptor.codes, descriptor.counts):
-                    column = array.array(code)
-                    size = count * column.itemsize
-                    column.frombytes(buf[offset:offset + size])
-                    columns.append(column)
-                    offset += size
-            finally:
-                shm.close()
-            self._columns = columns
-        return self._columns
-
-    def localize(self) -> None:
-        """Copy the payload into process-local buffers.
-
-        Called by the scheduler before it unlinks a run's segments so a
-        channel still needed afterwards (collect sink, failover bound
-        source) survives the teardown.  No-op when already released or
-        already materialised.
-        """
-        if self._released_card is None:
-            self._materialise()
-
-    # -- metadata from the descriptor (no attach) ----------------------
-    @property
-    def columns(self) -> list[array.array]:
-        return self._materialise()
-
-    @property
-    def width(self) -> int:
-        return len(self._descriptor.codes)
-
-    def column(self, index: int) -> array.array:
-        return self._materialise()[index]
-
-    def require_data(self) -> list[Any]:
-        if self._released_card is None:
-            self._materialise()
-        return super().require_data()
-
-    def batch(self) -> ColumnarBatch:
-        if self._released_card is None:
-            self._materialise()
-        return super().batch()
-
-    def payload_bytes(self) -> int:
-        if self._released_card is not None:
-            return 0
-        return self._descriptor.nbytes
-
-    def _drop_payload(self) -> None:
-        self._columns = []
-        self.data = None
-        if self._owner:
-            # Deterministic unlink point: the refcounter released the
-            # last consumer's hold on this hand-off.
-            unlink_segment(self._descriptor.name)

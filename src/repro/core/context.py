@@ -106,8 +106,7 @@ class RheemContext:
         (default 1, or the ``REPRO_PARALLELISM`` environment variable);
         ``execution_mode`` picks the concurrent scheduler's backend:
         ``"thread"`` (default, or ``REPRO_EXECUTION_MODE``) or
-        ``"process"`` — forked worker processes with zero-copy
-        shared-memory transport for columnar channels; outputs and
+        ``"process"`` — forked worker processes; outputs and
         accounting are byte-identical either way;
         ``columnar=True`` packs numeric channel hand-offs into
         struct-of-arrays buffers, with conversion charged to the ledger
@@ -324,9 +323,9 @@ class RheemContext:
         Like :meth:`execute`, but the executor replans the remaining plan
         whenever observed cardinalities contradict the optimizer's
         estimates (see :mod:`repro.core.progressive`).  The run goes
-        through the same atom driver, at this context's parallelism,
-        execution mode and admission pool.  Returns the result plus the
-        number of replans performed.
+        through the same atom driver under this context's whole executor
+        configuration.  Returns the result plus the number of replans
+        performed.
         """
         from repro.core.progressive import ProgressiveExecutor
 
@@ -337,16 +336,11 @@ class RheemContext:
                 failure_injector=self.failure_injector,
                 tracer=self.tracer,
             )
-        progressive = ProgressiveExecutor(
-            self.task_optimizer,
-            movement=self.movement,
-            max_retries=self.executor.max_retries,
-            calibration=self.calibration,
-        )
-        progressive.listeners = self.executor.listeners
-        progressive.parallelism = self.executor.parallelism
-        progressive.execution_mode = self.executor.execution_mode
-        progressive.slot_pool = self.executor.slot_pool
+        progressive = ProgressiveExecutor(self.task_optimizer)
+        # Run under this context's configuration: everything the
+        # executor was built with or handed since (listeners, slot pool),
+        # not a hand-picked subset of it.
+        vars(progressive).update(vars(self.executor))
         return progressive.execute_progressively(
             physical,
             runtime,

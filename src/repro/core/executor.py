@@ -165,8 +165,7 @@ class Executor:
                 parallelism = 1
         self.parallelism = max(1, parallelism)
         #: which backend the concurrent scheduler dispatches onto:
-        #: ``"thread"`` (default) or ``"process"`` (forked workers +
-        #: shared-memory columnar transport — see
+        #: ``"thread"`` (default) or ``"process"`` (forked workers — see
         #: :mod:`repro.core.scheduler`).  ``None`` reads
         #: ``REPRO_EXECUTION_MODE`` (junk values fall back to thread;
         #: an *explicit* bad argument raises).  Like ``parallelism``,

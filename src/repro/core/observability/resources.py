@@ -21,8 +21,7 @@ atom span when profiling is enabled (``REPRO_PROFILE=1`` or
 
 The same figures are observed into the metrics registry
 (``atom_cpu_ms``, ``atom_queue_wait_ms``, ``atom_rss_peak_bytes``,
-``gc_pause_ms``, ``channel_bytes``, plus ``shm_bytes`` for process-mode
-shared-memory exports) so they flow through the Prometheus
+``gc_pause_ms``, ``channel_bytes``) so they flow through the Prometheus
 exposition and shard-merge paths, and the span attrs ride the existing
 Chrome-trace/JSONL exporters and the run journal untouched.
 
@@ -269,26 +268,6 @@ class ResourceProfiler:
         ).observe(float(nbytes), platform=platform)
 
 
-def record_shm_bytes(
-    registry: "MetricsRegistry", nbytes: int, platform: str
-) -> None:
-    """Observe one shared-memory segment export (process mode).
-
-    ``nbytes`` is the exported channel's exact :meth:`payload_bytes` —
-    the segment size — so ``shm_bytes`` totals reconcile byte-for-byte
-    against ``channel_bytes`` for columnar outputs, which is how the
-    zero-pickle transport claim is asserted.  Module-level (not a
-    profiler method): workers call it on their shard registry, and the
-    shard merge carries it into the main registry like every other
-    resource series.
-    """
-    registry.histogram(
-        "shm_bytes",
-        "bytes per columnar channel exported to a shared-memory segment",
-        buckets=BYTE_BUCKETS,
-    ).observe(float(nbytes), platform=platform)
-
-
 def resource_summary(registry: "MetricsRegistry") -> dict[str, dict]:
     """Aggregate resource histogram totals from a registry, for benches.
 
@@ -303,7 +282,6 @@ def resource_summary(registry: "MetricsRegistry") -> dict[str, dict]:
         "atom_rss_peak_bytes",
         "gc_pause_ms",
         "channel_bytes",
-        "shm_bytes",
     ):
         if name not in registry:
             continue

@@ -169,7 +169,7 @@ class CalibrationStore:
         applied to it, which is divided back out so the stored ratio
         describes the *raw* estimator's bias.  Pairs with a zero on
         either side carry no finite ratio and are skipped (returns
-        False) — the legacy per-boundary replan path still sees them.
+        False).
         """
         if estimated <= 0 or observed <= 0 or correction <= 0:
             return False

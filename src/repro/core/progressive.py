@@ -217,7 +217,3 @@ class ProgressiveExecutor(Executor):
         if breached:
             return True
         return window.n > 0 and window.quantile(0.9) >= self.drift_band[1]
-
-
-#: backward-compatible alias (the helper moved to repro.core.replan)
-_remainder_plan = remainder_plan

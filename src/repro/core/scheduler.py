@@ -69,25 +69,26 @@ default) dispatches onto a thread pool.  ``execution_mode="process"``
 forks a pool of worker *processes* at segment start (fork, not spawn:
 plans hold closures that cannot be pickled, so workers inherit the
 plan/executor/runtime by address-space copy) and ships work through
-``multiprocessing`` queues.  Task messages carry the atom's input
-channels (columnar ones as shared-memory descriptors — the buffers
-never enter a pickle stream — rows as ordinary pickles); results carry
-the same journal payload a thread worker would hand back (shard tracer,
-metrics, health ops), plus the mutations a thread worker would have
-made against shared objects — the failure injector's attempt counts and
-log lines, and listener events — shipped as deltas and applied by the
-coordinator at completion.  Replay is unchanged, so ledger sequence,
-``virtual_ms``, span shape and outputs are byte-identical across
-inline, thread and process execution at any parallelism.
+``multiprocessing`` queues.  The wire has one form: a task message and a
+result message are each **one pickle made on the sending thread** (the
+coordinator in ``_ProcessBackend.submit``, the worker before
+``result_q.put``), and the queue carries the bytes.  A task carries the
+atom's input channels; a result carries the same journal a thread worker
+would hand back — shard tracer, metrics, health ops *and the channels
+the atom produced*, row or columnar alike — plus the mutations a thread
+worker would have made against shared objects — the failure injector's
+attempt counts and log lines, and listener events — shipped as deltas
+and applied by the coordinator at completion.  Replay is unchanged, so
+ledger sequence, ``virtual_ms``, span shape and outputs are
+byte-identical across inline, thread and process execution at any
+parallelism.
 
-Shared-memory segment lifetime is coordinator-owned and pessimistic:
-output segment names are registered *before* dispatch, refcount release
-unlinks deterministically, and the segment teardown in ``run()``'s
-``finally`` (after localising any channel still needed downstream)
-unlinks everything the run registered — covering failover drains,
-``SimulatedCrash``, deadline kills and plain exceptions.  Workers exit
-via ``os._exit`` so the coordinator's ``atexit`` backstop never runs in
-a child against inherited registry state.
+Pickling where the message is built (not on the queue's feeder thread,
+which prints the error, drops the item and leaves the receiver polling
+forever) is what makes a payload that cannot cross — a map that returns
+closures, say — an ordinary failure: the journal's ``produced`` is
+cleared, the error becomes an :class:`ExecutionError` naming the atom,
+and it surfaces in plan order through the usual graft path.
 
 Channel refcounting
 -------------------
@@ -115,7 +116,6 @@ finish — what the run *would* take with the scheduled overlap — and is
 
 from __future__ import annotations
 
-import itertools
 import os
 import pickle
 import queue
@@ -127,16 +127,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
-from repro.core.channels import (
-    CollectionChannel,
-    ColumnarChannel,
-    ShmColumnarChannel,
-    export_columnar,
-    register_segment,
-    reset_segment_tracking,
-    shm_segment_name,
-    unlink_segment,
-)
+from repro.core.channels import CollectionChannel
 from repro.core.execution.plan import ExecutionPlan, LoopAtom, TaskAtom
 from repro.core.listeners import ExecutionEvent, RecordingListener
 from repro.core.metrics import ExecutionMetrics
@@ -160,9 +151,6 @@ __all__ = [
 
 #: thread-name prefix for pool workers (worker ids are parsed off it)
 _WORKER_PREFIX = "repro-atom"
-
-#: per-process counter distinguishing scheduler runs in segment names
-_SHM_NONCE = itertools.count(1)
 
 
 class SegmentCut(Exception):
@@ -324,30 +312,37 @@ class _AtomJournal:
 class _ProcessResult:
     """One worker *process*'s completed atom, in picklable form.
 
-    ``journal`` is the :class:`_AtomJournal` the worker built, minus
-    what cannot cross a pickle: ``atom`` (and ``error.atom``) drag UDF
-    closures and are reattached from ``plan.atoms[index]`` by the
-    coordinator, and channels travel separately as transport tuples
-    (``("shm", descriptor)`` for columnar outputs exported to shared
-    memory, ``("raw", channel)`` for pickled row channels).  The
-    mutations a thread worker would have made against shared objects
-    ride along as deltas: injector attempt counts + log lines, and
-    listener events.
+    ``journal`` is the :class:`_AtomJournal` the worker built —
+    produced channels included — minus what cannot cross a pickle:
+    ``atom`` (and ``error.atom``) drag UDF closures and are reattached
+    from ``plan.atoms[index]`` by the coordinator.  The mutations a
+    thread worker would have made against shared objects ride along as
+    deltas: injector attempt counts + log lines, and listener events.
     """
 
     journal: _AtomJournal
-    produced: list[tuple[int, tuple]]
     injector_attempts: dict[int, int]
     injector_log: list[tuple[int, str | None, str]]
     events: list[ExecutionEvent]
+
+
+def _boundary_error(
+    index: int, what: str, failure: BaseException
+) -> ExecutionError:
+    """The typed failure for a task/result message that refused to
+    pickle on its sender's thread."""
+    return ExecutionError(
+        f"atom index {index}: {what} cannot cross the process boundary "
+        f"({type(failure).__name__}: {failure})"
+    )
 
 
 # ----------------------------------------------------------------------
 # execution backends
 # ----------------------------------------------------------------------
 class _ThreadBackend:
-    """The original thread-pool dispatch: shared-memory-free, workers
-    touch the live (coordinator-owned) objects through their shards."""
+    """The original thread-pool dispatch: workers touch the live
+    (coordinator-owned) objects through their shards."""
 
     def __init__(self, scheduler: "ConcurrentAtomScheduler") -> None:
         self._scheduler = scheduler
@@ -395,8 +390,9 @@ class _ProcessBackend:
     Forked at construction (segment start), so workers inherit the
     plan's closures, the executor's per-segment estimate tables and the
     runtime services by address-space copy; everything dispatched later
-    travels through the task queue.  ``next_result`` polls with a
-    timeout so a dead worker (OOM-kill, hard crash) surfaces as an
+    travels through the task queue, as one pickle made by the sender
+    (module docstring).  ``next_result`` polls with a timeout so a dead
+    worker (OOM-kill, hard crash) surfaces as an
     :class:`ExecutionError` instead of a hang.
     """
 
@@ -407,6 +403,8 @@ class _ProcessBackend:
         context = multiprocessing.get_context("fork")
         self._task_q = context.Queue()
         self._result_q = context.Queue()
+        #: journals of atoms whose task message could not be pickled
+        self._unsent: list[_AtomJournal] = []
         self._workers = [
             context.Process(
                 target=scheduler._process_worker_main,
@@ -423,14 +421,34 @@ class _ProcessBackend:
         self, index: int, atom: TaskAtom, ordinal: int | None, token: int,
         slot: int,
     ) -> None:
-        self._task_q.put(
-            self._scheduler._build_task(index, atom, ordinal, token, slot)
-        )
+        # Input channels travel by value: workers were forked at segment
+        # start and cannot see channels published since.
+        scheduler = self._scheduler
+        inputs = {
+            op_id: scheduler.channels[op_id]
+            for op_id in scheduler._deps[index]
+        }
+        try:
+            wire = pickle.dumps(
+                (index, ordinal, token, slot, time.perf_counter(), inputs),
+                pickle.HIGHEST_PROTOCOL,
+            )
+        except Exception as failure:
+            self._unsent.append(_AtomJournal(
+                index=index, atom=atom, metrics=ExecutionMetrics(),
+                health=_JournalHealth(), shard=None, worker=0, slot=slot,
+                ordinal=ordinal,
+                error=_boundary_error(index, "input", failure),
+            ))
+            return
+        self._task_q.put(wire)
 
     def next_result(self) -> _AtomJournal:
+        if self._unsent:
+            return self._unsent.pop()
         while True:
             try:
-                result = self._result_q.get(timeout=0.2)
+                wire = self._result_q.get(timeout=0.2)
             except queue.Empty:
                 dead = [p for p in self._workers if not p.is_alive()]
                 if dead:
@@ -439,7 +457,7 @@ class _ProcessBackend:
                         f"(exit code {dead[0].exitcode}) with work in flight"
                     ) from None
                 continue
-            return self._scheduler._journal_from_result(result)
+            return self._scheduler._journal_from_result(pickle.loads(wire))
 
     def shutdown(self) -> None:
         for _ in self._workers:
@@ -564,10 +582,6 @@ class ConcurrentAtomScheduler:
         self._pred_ordinal: list[int | None] = [None] * n
         self._pred_token: list[int] = [0] * n
 
-        # --- process-mode shared-memory bookkeeping ------------------------
-        #: segment names this run registered (unlinked in run()'s finally)
-        self._run_segments: set[str] = set()
-        self._shm_nonce = next(_SHM_NONCE)
         self._backend: "_ThreadBackend | _ProcessBackend | None" = None
 
     # ------------------------------------------------------------------
@@ -654,8 +668,6 @@ class ConcurrentAtomScheduler:
         finally:
             backend.shutdown()
             self._backend = None
-            if self._run_segments:
-                self._teardown_segments()
 
     # ------------------------------------------------------------------
     # dispatch
@@ -735,72 +747,21 @@ class ConcurrentAtomScheduler:
         return journal
 
     # ------------------------------------------------------------------
-    # process mode: task build (coordinator) and job loop (workers)
+    # process mode: result landing (coordinator) and job loop (workers)
     # ------------------------------------------------------------------
-    def _build_task(
-        self,
-        index: int,
-        atom: TaskAtom,
-        ordinal: int | None,
-        token: int,
-        slot: int,
-    ) -> tuple:
-        """Assemble one picklable task message for a worker process.
-
-        Input channels travel by value — shared-memory descriptors for
-        columnar payloads, pickles for rows — because workers were
-        forked at segment start and cannot see channels published since.
-        Output segment names are assigned (and registered for teardown)
-        here, *before* dispatch, so a crash anywhere between dispatch
-        and completion still unlinks whatever the worker created.
-        """
-        inputs = {
-            op_id: self._transport_channel(self.channels[op_id])
-            for op_id in self._deps[index]
-        }
-        out_names: dict[int, str] = {}
-        for position, op_id in enumerate(sorted(atom.output_ids)):
-            name = shm_segment_name(self._shm_nonce, index, position)
-            register_segment(name)
-            self._run_segments.add(name)
-            out_names[op_id] = name
-        return (
-            index, ordinal, token, slot, time.perf_counter(), inputs,
-            out_names,
-        )
-
-    @staticmethod
-    def _transport_channel(channel: CollectionChannel) -> tuple:
-        """How one input channel crosses the process boundary."""
-        if isinstance(channel, ShmColumnarChannel) and not channel.released:
-            # Re-ship the descriptor: the consumer attaches the same
-            # segment; the buffers never enter the task pickle.
-            return ("shm", channel.descriptor)
-        return ("raw", channel)
-
     def _journal_from_result(self, result: _ProcessResult) -> _AtomJournal:
         """Rebuild a worker process's result into an :class:`_AtomJournal`.
 
-        Besides reconstructing channels (shared-memory descriptors
-        become owner :class:`ShmColumnarChannel` instances — the
-        coordinator's published copy unlinks on refcount release) and
-        reattaching the stripped ``AtomExhaustedError.atom``, this lands
-        the mutations a thread-mode worker would have made against
-        shared objects at execution time: injector attempt counts + log
-        lines (before any ``reset_attempts`` an abort might issue), and
-        listener events (thread-mode listeners also observe completion
-        order under concurrency; live mid-atom ordering is best-effort
-        by contract).
+        Besides reattaching the atom (and the stripped
+        ``AtomExhaustedError.atom``), this lands the mutations a
+        thread-mode worker would have made against shared objects at
+        execution time: injector attempt counts + log lines (before any
+        ``reset_attempts`` an abort might issue), and listener events
+        (thread-mode listeners also observe completion order under
+        concurrency; live mid-atom ordering is best-effort by contract).
         """
         journal = result.journal
         journal.atom = self.plan.atoms[journal.index]
-        for op_id, (kind, payload) in result.produced:
-            if kind == "shm":
-                journal.produced[op_id] = ShmColumnarChannel(
-                    payload, owner=True
-                )
-            else:
-                journal.produced[op_id] = payload
         if isinstance(journal.error, AtomExhaustedError):
             journal.error.atom = journal.atom
         injector = self.runtime.failure_injector
@@ -819,16 +780,13 @@ class ConcurrentAtomScheduler:
 
     def _process_worker_main(self, worker: int, task_q, result_q) -> None:
         """Entry point of one forked worker process."""
-        # The inherited live-segment registry belongs to the coordinator;
-        # this process must never unlink coordinator segments on exit.
-        reset_segment_tracking()
         code = 0
         try:
             while True:
-                task = task_q.get()
-                if task is None:
+                wire = task_q.get()
+                if wire is None:
                     break
-                result_q.put(self._process_job(worker, task))
+                result_q.put(self._process_job(worker, pickle.loads(wire)))
         except BaseException:  # pragma: no cover - scheduler bug surface
             code = 1
         finally:
@@ -836,15 +794,14 @@ class ConcurrentAtomScheduler:
                 result_q.close()
                 result_q.join_thread()
             finally:
-                # ``_exit``: the parent's atexit handlers (segment
-                # backstop, test plugins) must not run in a child.
+                # ``_exit``: the parent's atexit handlers (test plugins)
+                # must not run in a child.
                 os._exit(code)
 
-    def _process_job(self, worker: int, task: tuple) -> _ProcessResult:
-        """Run one atom against private shards in a worker process, then
-        package everything picklable for the coordinator."""
-        index, ordinal, token, slot, submitted_at, inputs, out_names = task
-        atom = self.plan.atoms[index]
+    def _process_job(self, worker: int, task: tuple) -> bytes:
+        """Run one atom against private shards in a worker process and
+        pickle the :class:`_ProcessResult` for the coordinator."""
+        index, ordinal, token, slot, submitted_at, inputs = task
         injector = self.runtime.failure_injector
         attempts_before = (
             injector.snapshot_attempts() if injector is not None else {}
@@ -854,45 +811,9 @@ class ConcurrentAtomScheduler:
         # here and fanned out by the coordinator at completion.
         recorder = RecordingListener()
         self.executor.listeners = [recorder]
-        local: dict[int, CollectionChannel] = {}
-        for op_id, (kind, payload) in inputs.items():
-            local[op_id] = (
-                ShmColumnarChannel(payload, owner=False)
-                if kind == "shm"
-                else payload
-            )
         journal = self._run_shard(
-            index, ordinal, token, slot, worker, submitted_at, local
+            index, ordinal, token, slot, worker, submitted_at, inputs
         )
-        transported: list[tuple[int, tuple]] = []
-        if journal.error is None:
-            try:
-                for op_id, channel in journal.produced.items():
-                    if (
-                        isinstance(channel, ColumnarChannel)
-                        and not channel.released
-                    ):
-                        descriptor = export_columnar(
-                            channel, out_names[op_id]
-                        )
-                        transported.append((op_id, ("shm", descriptor)))
-                        if self.executor._profiler is not None:
-                            from repro.core.observability.resources import (
-                                record_shm_bytes,
-                            )
-
-                            record_shm_bytes(
-                                journal.metrics.registry,
-                                descriptor.nbytes, atom.platform.name,
-                            )
-                    else:
-                        transported.append((op_id, ("raw", channel)))
-            except BaseException as failure:  # pragma: no cover - defensive
-                transported = []
-                journal.error = ExecutionError(
-                    f"atom #{atom.id}: shared-memory export failed: "
-                    f"{failure}"
-                )
         attempts_delta: dict[int, int] = {}
         log_delta: list[tuple[int, str | None, str]] = []
         if injector is not None:
@@ -902,58 +823,37 @@ class ConcurrentAtomScheduler:
                 if attempts_before.get(key) != count
             }
             log_delta = injector.log[log_mark:]
+        # ``atom`` and ``AtomExhaustedError.atom`` drag the whole task
+        # fragment (UDF closures) into the pickle: stripped here,
+        # reattached by :meth:`_journal_from_result`.
         journal.atom = None
-        journal.produced = {}
-        journal.error = self._strip_error(journal.error)
-        return _ProcessResult(
+        error = journal.error
+        if isinstance(error, AtomExhaustedError):
+            error.atom = None
+        result = _ProcessResult(
             journal=journal,
-            produced=transported,
             injector_attempts=attempts_delta,
             injector_log=log_delta,
             events=recorder.events,
         )
-
-    @staticmethod
-    def _strip_error(error: BaseException | None) -> BaseException | None:
-        """Make a worker-side error safe to pickle.
-
-        ``AtomExhaustedError.atom`` drags the whole task fragment (UDF
-        closures) into the pickle — stripped here, reattached from
-        ``plan.atoms[index]`` by :meth:`_journal_from_result`.  Anything
-        that still refuses the round trip degrades to an
-        :class:`ExecutionError` carrying the original message, so a
-        worker never dies on an unpicklable result.
-        """
-        if error is None:
-            return None
-        if isinstance(error, AtomExhaustedError):
-            error.atom = None
         try:
-            pickle.loads(pickle.dumps(error))
-        except Exception:
-            return ExecutionError(f"{type(error).__name__}: {error}")
-        return error
-
-    def _teardown_segments(self) -> None:
-        """Unlink every segment this run registered (run()'s finally).
-
-        Channels still live — collect sinks, failover bound sources, a
-        crash-interrupted suffix — are localised first (payload copied
-        into process-local buffers), so nothing downstream ever touches
-        an unlinked segment.  Tolerant of names never created (errored
-        atoms) and already unlinked (refcount release): this is the
-        abnormal-exit backstop for failover drains, ``SimulatedCrash``,
-        deadline kills and plain exceptions alike.
-        """
-        for channel in self.channels.values():
-            if isinstance(channel, ShmColumnarChannel):
-                try:
-                    channel.localize()
-                except ExecutionError:  # pragma: no cover - defensive
-                    pass
-        for name in self._run_segments:
-            unlink_segment(name)
-        self._run_segments.clear()
+            wire = pickle.dumps(result, pickle.HIGHEST_PROTOCOL)
+            if error is not None:
+                # an exception class can pickle and still refuse to be
+                # rebuilt; the error message is small, so probe it here
+                pickle.loads(wire)
+        except Exception as failure:
+            # Whatever refused the boundary — output rows or the error
+            # object — degrades to a typed error carrying the message,
+            # so a worker never dies on an unpicklable result.
+            journal.produced = {}
+            journal.error = (
+                _boundary_error(index, "output", failure)
+                if error is None
+                else ExecutionError(f"{type(error).__name__}: {error}")
+            )
+            wire = pickle.dumps(result, pickle.HIGHEST_PROTOCOL)
+        return wire
 
     # ------------------------------------------------------------------
     # coordinator side: completion + replay

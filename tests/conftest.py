@@ -2,9 +2,6 @@
 
 from __future__ import annotations
 
-import glob
-import os
-
 import pytest
 
 from repro import RheemContext
@@ -12,28 +9,6 @@ from repro.core.types import Schema
 from repro.platforms import JavaPlatform, PostgresPlatform, SparkPlatform
 
 PLATFORM_NAMES = ("java", "spark", "postgres")
-
-
-@pytest.fixture(autouse=True)
-def no_leaked_shm_segments():
-    """Every test must end with zero live shared-memory segments.
-
-    Process-mode execution maps columnar channels into
-    ``multiprocessing.shared_memory`` segments; the scheduler guarantees
-    they are unlinked on every exit path (refcount release, failover
-    drain, SimulatedCrash, deadline kill).  This fixture enforces that
-    guarantee suite-wide: the in-process registry must be empty, and no
-    segment named by this coordinator pid may remain in the kernel
-    namespace (``/dev/shm`` on Linux).
-    """
-    from repro.core.channels import live_segments
-
-    yield
-    leaked = live_segments()
-    assert not leaked, f"leaked shared-memory segments: {sorted(leaked)}"
-    prefix = f"/dev/shm/rpshm{os.getpid():x}g"
-    on_disk = glob.glob(prefix + "*")
-    assert not on_disk, f"leaked /dev/shm segments: {on_disk}"
 
 
 @pytest.fixture()

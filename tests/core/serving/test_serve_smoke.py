@@ -3,8 +3,7 @@
 The CI ``serve-smoke`` job runs exactly this file: boot the daemon,
 drive a cold/warm submit pair, assert the warm run reports a
 ``plan_cache`` hit with zero enumeration spans, and shut down cleanly —
-no leaked serving threads (checked here) and no leaked shared-memory
-segments (the suite-wide autouse fixture).
+no leaked serving threads.
 """
 
 from __future__ import annotations

@@ -1,18 +1,20 @@
 """Process-mode execution: the GIL-escape backend's determinism contract.
 
 ``Executor(execution_mode="process")`` swaps the concurrent scheduler's
-thread pool for forked worker processes with a zero-copy shared-memory
-transport for columnar channels.  The contract is the same as the
-thread backend's, verbatim: byte-identical outputs, ``virtual_ms``,
-ledger entry sequence and span shape versus a sequential run, at any
-parallelism, under seeded fault injection, failover, chaos crashes and
-cross-mode resume — plus two of its own: columnar buffers cross the
-process boundary without pickling (``shm_bytes`` reconciles exactly
-against ``channel_bytes``), and no shared-memory segment survives any
-exit path (the autouse leak fixture backs every test here).
+thread pool for forked worker processes; every channel crosses the
+boundary inside the one pickle its sender makes.  The contract is the
+same as the thread backend's, verbatim: byte-identical outputs,
+``virtual_ms``, ledger entry sequence and span shape versus a sequential
+run, at any parallelism, under seeded fault injection, failover, chaos
+crashes and cross-mode resume — plus two of its own: a payload that
+cannot be pickled is an :class:`ExecutionError` naming the atom (never a
+hang), and no worker process outlives any exit path.
 """
 
+import multiprocessing
 import os
+import pickle
+import threading
 
 import pytest
 
@@ -26,15 +28,7 @@ from repro import (
     SimulatedCrash,
     Tracer,
 )
-from repro.core.channels import (
-    ColumnarChannel,
-    ShmColumnarChannel,
-    export_columnar,
-    live_segments,
-    register_segment,
-    shm_segment_name,
-    unlink_segment,
-)
+from repro.core.channels import ColumnarChannel
 from repro.core.executor import Executor
 from repro.core.logical.operators import CollectionSource, CollectSink, Map
 from repro.core.logical.plan import LogicalPlan
@@ -136,14 +130,19 @@ def build_execution(ctx, build):
     return ctx.task_optimizer.optimize(physical)
 
 
-def branching_execution(pipelines=6, numeric=False):
-    """Independent source→map→sink pipelines: one dispatchable atom
-    each, so the scheduler genuinely overlaps them.  ``numeric=True``
-    makes every atom output packable (floats) for the columnar tests."""
+def on_java(plan):
     from repro.core.optimizer.application import ApplicationOptimizer
     from repro.core.optimizer.enumerator import MultiPlatformOptimizer
     from repro.platforms import JavaPlatform
 
+    physical = ApplicationOptimizer().optimize(plan)
+    return MultiPlatformOptimizer([JavaPlatform()]).optimize(physical)
+
+
+def branching_execution(pipelines=6, numeric=False):
+    """Independent source→map→sink pipelines: one dispatchable atom
+    each, so the scheduler genuinely overlaps them.  ``numeric=True``
+    makes every atom output packable (floats) for the columnar tests."""
     plan = LogicalPlan()
     for p in range(pipelines):
         if numeric:
@@ -155,8 +154,7 @@ def branching_execution(pipelines=6, numeric=False):
             src = plan.add(CollectionSource(list(range(p * 10, p * 10 + 8))))
             mapped = plan.add(Map(lambda x, p=p: x * 3 + p), [src])
         plan.add(CollectSink(), [mapped])
-    physical = ApplicationOptimizer().optimize(plan)
-    return MultiPlatformOptimizer([JavaPlatform()]).optimize(physical)
+    return on_java(plan)
 
 
 # ----------------------------------------------------------------------
@@ -248,8 +246,8 @@ class TestEquivalenceMatrix:
         )
 
     def test_columnar_loop_identical_across_modes(self):
-        """Loop barriers consume shared-memory state channels inline on
-        the coordinator (attach + rebuild path)."""
+        """Loop barriers consume columnar state channels inline on the
+        coordinator."""
         execution = build_execution(RheemContext(), build_kmeans)
         assert_matrix_identical(execution, columnar=True)
 
@@ -263,61 +261,9 @@ class TestEquivalenceMatrix:
 
 
 # ----------------------------------------------------------------------
-# zero-copy accounting
+# the wire: one pickle per message
 # ----------------------------------------------------------------------
 class TestSharedMemoryAccounting:
-    @staticmethod
-    def _spy_transport(monkeypatch):
-        """Record every worker→coordinator channel hand-off: the shm
-        descriptors and anything that arrived as a pickle."""
-        from repro.core import scheduler as sched
-
-        seen = {"shm": [], "raw": []}
-        orig = sched.ConcurrentAtomScheduler._journal_from_result
-
-        def spy(self, result):
-            for _op_id, (kind, payload) in result.produced:
-                seen[kind].append(payload)
-            return orig(self, result)
-
-        monkeypatch.setattr(
-            sched.ConcurrentAtomScheduler, "_journal_from_result", spy
-        )
-        return seen
-
-    def test_shm_bytes_reconcile_exactly_with_descriptors(
-        self, monkeypatch
-    ):
-        """The join plan's left pipeline hands a columnar channel to the
-        join atom: 40 rows × 2 int64 columns = exactly 640 payload
-        bytes.  That hand-off must cross as a segment whose descriptor
-        carries the exact ``payload_bytes``, the ``shm_bytes``
-        histogram must reconcile observation-for-observation against
-        those descriptors, and no columnar channel may arrive pickled
-        (the zero-copy claim)."""
-        seen = self._spy_transport(monkeypatch)
-        execution = build_execution(RheemContext(), build_join)
-        result = run(execution, 4, "process", columnar=True, profile=True)
-        assert [d.nbytes for d in seen["shm"]] == [640]
-        assert not any(
-            isinstance(channel, ColumnarChannel)
-            for channel in seen["raw"]
-        ), "a columnar channel crossed the boundary as a pickle"
-        shm = resource_summary(result.metrics.registry)["shm_bytes"]
-        assert shm["n"] == len(seen["shm"]) == 1
-        assert shm["total"] == shm["max"] == 640.0
-
-    def test_loop_state_crosses_as_segment(self, monkeypatch):
-        """Loop barriers run inline on the coordinator and consume the
-        pre-stage's shared-memory state channel there (attach path)."""
-        seen = self._spy_transport(monkeypatch)
-        execution = build_execution(RheemContext(), build_kmeans)
-        result = run(execution, 4, "process", columnar=True, profile=True)
-        # initial centroids: 2 float64s = 16 bytes
-        assert [d.nbytes for d in seen["shm"]] == [16]
-        shm = resource_summary(result.metrics.registry)["shm_bytes"]
-        assert shm["n"] == 1 and shm["total"] == 16.0
-
     def test_channel_accounting_identical_across_modes(self):
         """``channel_bytes`` (and every other resource total the modes
         share deterministically) must not notice the backend swap."""
@@ -333,53 +279,106 @@ class TestSharedMemoryAccounting:
         assert per_mode["process"]["channel_bytes"] == (
             per_mode["thread"]["channel_bytes"]
         )
-        assert "shm_bytes" not in per_mode["thread"]
-        assert per_mode["process"]["shm_bytes"]["n"] == 1
 
-    def test_export_import_roundtrip_preserves_payload(self):
-        channel = ColumnarChannel.from_rows(
-            [(1.5, 2.0), (3.25, 4.0), (5.0, 6.0)], "java"
-        )
-        name = shm_segment_name(os.getpid() % 7 + 1, 0, 0)
-        register_segment(name)
+
+def closure_execution():
+    """Two independent pipelines whose output rows are closures: fine
+    to hand between threads, impossible to pickle."""
+    plan = LogicalPlan()
+    for _ in range(2):
+        src = plan.add(CollectionSource(list(range(4))))
+        mapped = plan.add(Map(lambda x: (lambda: x)), [src])
+        plan.add(CollectSink(), [mapped])
+    return on_java(plan)
+
+
+def run_with_timeout(execution, mode, seconds=5.0):
+    """Run on a daemon thread so a wedged coordinator fails the test
+    instead of hanging the suite."""
+    outcome = {}
+
+    def target():
         try:
-            descriptor = export_columnar(channel, name)
-            assert descriptor.nbytes == channel.payload_bytes()
-            rebuilt = ShmColumnarChannel(descriptor, owner=False)
-            assert len(rebuilt) == len(channel)
-            assert rebuilt.payload_bytes() == channel.payload_bytes()
-            assert rebuilt.require_data() == channel.require_data()
-            assert [c.typecode for c in rebuilt.columns] == [
-                c.typecode for c in channel.columns
-            ]
-        finally:
-            unlink_segment(name)
-        assert name not in live_segments()
+            outcome["result"] = run(execution, 2, mode)
+        except BaseException as error:
+            outcome["error"] = error
 
-    def test_owner_release_unlinks_segment(self):
-        channel = ColumnarChannel.from_rows([(1.0, 2.0), (3.0, 4.0)], "java")
-        name = shm_segment_name(os.getpid() % 7 + 2, 1, 0)
-        register_segment(name)
-        descriptor = export_columnar(channel, name)
-        owner = ShmColumnarChannel(descriptor, owner=True)
-        assert name in live_segments()
-        owner.release()
-        assert owner.released and owner.payload_bytes() == 0
-        assert name not in live_segments()
-        # consuming an unlinked segment is a loud lifetime bug
-        orphan = ShmColumnarChannel(descriptor, owner=False)
-        with pytest.raises(ExecutionError, match="vanished"):
-            orphan.require_data()
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), f"{mode} run still going after {seconds}s"
+    return outcome
 
-    def test_localize_survives_unlink(self):
-        channel = ColumnarChannel.from_rows([(7.0, 8.0)], "java")
-        name = shm_segment_name(os.getpid() % 7 + 3, 2, 0)
-        register_segment(name)
-        descriptor = export_columnar(channel, name)
-        shared = ShmColumnarChannel(descriptor, owner=True)
-        shared.localize()
-        unlink_segment(name)
-        assert shared.require_data() == [(7.0, 8.0)]
+
+class TestUnpicklablePayload:
+    def test_unpicklable_output_is_an_error_not_a_hang(self):
+        outcome = run_with_timeout(closure_execution(), "process")
+        error = outcome.get("error")
+        assert isinstance(error, ExecutionError), outcome
+        assert "atom index 0" in str(error)
+        assert "cannot cross the process boundary" in str(error)
+        assert multiprocessing.active_children() == []
+
+    def test_unpicklable_input_is_an_error_not_a_hang(self):
+        """The coordinator's half: a loop barrier (run inline) leaves
+        closures as state, and the atom after it is dispatched."""
+        execution = build_execution(
+            RheemContext(),
+            lambda c: c.collection([1, 2])
+            .repeat(2, lambda state: state.map(lambda v: (lambda: 7)))
+            .map(lambda f: f()),
+        )
+        outcome = run_with_timeout(execution, "process")
+        error = outcome.get("error")
+        assert isinstance(error, ExecutionError), outcome
+        assert "atom index 2: input cannot cross" in str(error)
+        assert multiprocessing.active_children() == []
+        assert run_with_timeout(execution, "thread")["result"].single == [7, 7]
+
+    def test_unpicklable_output_is_fine_on_threads(self):
+        outcome = run_with_timeout(closure_execution(), "thread")
+        assert "error" not in outcome, outcome
+        assert [len(rows) for rows in outcome["result"].outputs.values()] == [
+            4, 4
+        ]
+
+
+class TestColumnarChannelPickle:
+    @staticmethod
+    def _roundtrip(channel):
+        return pickle.loads(pickle.dumps(channel, pickle.HIGHEST_PROTOCOL))
+
+    def test_roundtrip_preserves_layout_and_payload(self):
+        channel = ColumnarChannel.from_rows(
+            [(1, 2.0), (3, 4.25), (5, 6.0)], "java"
+        )
+        rebuilt = self._roundtrip(channel)
+        assert type(rebuilt) is ColumnarChannel
+        assert [c.typecode for c in rebuilt.columns] == ["q", "d"]
+        assert not rebuilt.scalar
+        assert rebuilt.producer_platform == "java"
+        assert len(rebuilt) == 3
+        assert rebuilt.payload_bytes() == channel.payload_bytes()
+        assert rebuilt.require_data() == channel.require_data()
+
+    def test_scalar_layout_and_released_cardinality_survive(self):
+        channel = ColumnarChannel.from_rows([1.5, 2.5], "spark")
+        rebuilt = self._roundtrip(channel)
+        assert rebuilt.scalar and rebuilt.width == 1
+        assert rebuilt.require_data() == [1.5, 2.5]
+        channel.release()
+        rebuilt = self._roundtrip(channel)
+        assert rebuilt.released and len(rebuilt) == 2
+        assert rebuilt.payload_bytes() == 0
+
+    def test_materialised_row_view_is_not_shipped(self):
+        channel = ColumnarChannel.from_rows(
+            [(i, i * 0.5) for i in range(500)], "java"
+        )
+        before = len(pickle.dumps(channel, pickle.HIGHEST_PROTOCOL))
+        channel.require_data()
+        after = len(pickle.dumps(channel, pickle.HIGHEST_PROTOCOL))
+        assert after <= before
 
 
 # ----------------------------------------------------------------------
@@ -484,7 +483,7 @@ class TestFaultInjectionParity:
 
 
 # ----------------------------------------------------------------------
-# chaos: crashes, cross-mode resume, segment hygiene on abnormal exits
+# chaos: crashes, cross-mode resume, worker hygiene on abnormal exits
 # ----------------------------------------------------------------------
 class ChaosHarness:
     """One shared execution, one journal layout, many crash/resume runs."""
@@ -544,7 +543,6 @@ class ChaosHarness:
         rundir = self.tmp_path / f"crash-{self.runs}"
         with pytest.raises(SimulatedCrash):
             self.run(rundir, mode, crash_at=crash_at, crash_mode=crash_mode)
-        assert not live_segments(), "crash path leaked segments"
         return self.run(rundir, resume_mode)
 
     def assert_identical(self, reference, result, tracer):
@@ -616,7 +614,7 @@ class TestSegmentHygiene:
     def test_plain_columnar_run_leaves_nothing(self):
         execution = branching_execution(numeric=True)
         run(execution, 4, "process", columnar=True)
-        assert not live_segments()
+        assert multiprocessing.active_children() == []
 
     def test_failover_drain_leaves_nothing(self):
         ctx = RheemContext(
@@ -629,7 +627,7 @@ class TestSegmentHygiene:
         )
         result = ctx.executor.execute(execution, runtime)
         assert result.metrics.failovers >= 1
-        assert not live_segments()
+        assert multiprocessing.active_children() == []
 
     def test_terminal_error_leaves_nothing(self):
         execution = branching_execution(numeric=True)
@@ -641,7 +639,7 @@ class TestSegmentHygiene:
                 execution, 4, "process", runtime=runtime,
                 columnar=True, max_retries=1,
             )
-        assert not live_segments()
+        assert multiprocessing.active_children() == []
 
     def test_deadline_kill_leaves_nothing(self):
         import time
@@ -658,7 +656,7 @@ class TestSegmentHygiene:
         )
         with pytest.raises(AtomExhaustedError):
             ctx.executor.execute(execution, RuntimeContext())
-        assert not live_segments()
+        assert multiprocessing.active_children() == []
 
 
 # ----------------------------------------------------------------------

@@ -4,7 +4,8 @@ import pytest
 
 from repro import CostHints
 from repro.core.logical.operators import CollectSink
-from repro.core.progressive import ProgressiveExecutor, _remainder_plan
+from repro.core.progressive import ProgressiveExecutor
+from repro.core.replan import remainder_plan
 
 
 def misestimated_loop_plan(ctx, rows=20_000, iterations=15):
@@ -117,7 +118,7 @@ class TestRemainderPlan:
         from repro.core.channels import CollectionChannel
 
         channels = {ops[1].id: CollectionChannel(list(range(1, 11)), "java")}
-        remainder = _remainder_plan(physical, executed, channels)
+        remainder = remainder_plan(physical, executed, channels)
         kinds = [op.kind for op in remainder.graph.topological_order()]
         assert kinds[0] == "source.collection"
         assert len(remainder.graph) == len(ops) - 2 + 1
@@ -131,4 +132,4 @@ class TestRemainderPlan:
         physical = ctx.app_optimizer.optimize(dq.plan)
         ops = physical.graph.topological_order()
         with pytest.raises(ExecutionError, match="no channel"):
-            _remainder_plan(physical, {ops[0].id}, {})
+            remainder_plan(physical, {ops[0].id}, {})

@@ -490,3 +490,28 @@ class TestAdaptiveThroughDriver:
             )
         assert runs[1][0] >= 1
         assert runs[2] == runs[1]
+
+    def test_adaptive_run_uses_the_contexts_configuration(self):
+        """``execute_adaptive`` runs under everything the context's
+        executor was configured with — columnar hand-offs and failover
+        included — not under a fresh executor's defaults."""
+        from tests.core.test_process_mode import build_join
+
+        def adaptive(**config):
+            ctx = RheemContext(**config)
+            handle = build_join(ctx)
+            handle.plan.add(CollectSink(), [handle.operator])
+            return ctx.execute_adaptive(handle.plan)[0]
+
+        expected = adaptive()
+        assert "postgres" in expected.metrics.by_platform()
+        result = adaptive(columnar=True)
+        assert result.single == expected.single
+        labels = {entry.label for entry in result.metrics.ledger.entries}
+        assert "columnar.ingest" in labels
+        result = adaptive(
+            failover=True, max_retries=1,
+            failure_injector=FailureInjector(down_platforms={"postgres": 1}),
+        )
+        assert result.metrics.failovers >= 1
+        assert result.single == expected.single
