@@ -4,10 +4,7 @@ serialise every machine-readable payload registered via
 ``harness.record_bench`` to ``benchmarks/results/BENCH_<exp_id>.json``.
 
 All result files are written atomically (write-temp + rename) so a
-crashed run never leaves truncated baselines behind, and every payload
-is also appended to ``benchmarks/results/history.jsonl`` — the perf
-observatory's durable run record (``repro report`` compares it against
-the committed baselines).
+crashed run never leaves truncated baselines behind.
 """
 
 from __future__ import annotations
@@ -17,7 +14,6 @@ import json
 import os
 
 from benchmarks.harness import (
-    append_history,
     git_sha,
     recorded_benches,
     recorded_tables,
@@ -49,15 +45,11 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             ).isoformat(timespec="seconds"),
             "profiled": profiling_enabled(),
         }
-        documents = []
         for exp_id, payload in benches.items():
             document = {"exp_id": exp_id, **provenance, **payload}
-            documents.append(document)
             path = os.path.join(results_dir, f"BENCH_{exp_id}.json")
             write_atomic(
                 path,
                 json.dumps(document, indent=2, sort_keys=False) + "\n",
             )
             terminalreporter.write_line(f"bench payload: {path}")
-        history_path = append_history(results_dir, documents)
-        terminalreporter.write_line(f"bench history: {history_path}")

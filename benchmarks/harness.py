@@ -162,46 +162,13 @@ def write_atomic(path: str, text: str) -> None:
     os.replace(tmp, path)
 
 
-#: history file name under benchmarks/results/ — one JSON document per
-#: line, one line per experiment per bench run (the perf observatory's
-#: durable record; ``repro report`` reads it)
-HISTORY_NAME = "history.jsonl"
-
-
-def append_history(results_dir: str, documents: list[dict]) -> str:
-    """Append bench documents to ``results/history.jsonl``, durably.
-
-    Appends are a single ``write`` per line followed by ``fsync``, so a
-    crash can at worst tear the final line — ``repro report`` skips
-    unparsable lines instead of failing.
-    """
-    import json
-
-    path = os.path.join(results_dir, HISTORY_NAME)
-    with open(path, "a", encoding="utf-8") as fh:
-        for document in documents:
-            fh.write(json.dumps(document, sort_keys=False) + "\n")
-        fh.flush()
-        os.fsync(fh.fileno())
-    return path
-
-
 def git_sha() -> str | None:
     """The repo's HEAD commit sha, or None outside a git checkout."""
-    import subprocess
+    from repro.core.observability.registry import repo_git_sha
 
-    try:
-        out = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-            capture_output=True,
-            text=True,
-            timeout=10,
-        )
-    except (OSError, subprocess.TimeoutExpired):  # pragma: no cover
-        return None
-    sha = out.stdout.strip()
-    return sha if out.returncode == 0 and sha else None
+    return repo_git_sha(
+        cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    )
 
 
 def maybe_resources(metrics) -> dict:
@@ -209,7 +176,7 @@ def maybe_resources(metrics) -> dict:
 
     Benches splat this into :func:`record_bench` so profiled runs
     (``REPRO_PROFILE=1``) carry their real-resource totals into the
-    history record without changing the unprofiled baseline schema.
+    ``BENCH_*.json`` payload without changing the unprofiled schema.
     """
     from repro.core.observability.resources import (
         profiling_enabled,

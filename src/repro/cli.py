@@ -24,31 +24,19 @@ Commands:
 
       python -m repro trace-diff before.jsonl after.jsonl
 
-* ``serve-metrics`` — run the demo workload, then expose its metrics
-  registry as a Prometheus scrape endpoint (``GET /metrics``) on a
-  stdlib HTTP server.  The exposition carries a ``repro_run_info``
-  gauge (git sha + config epoch labels) so scrapes identify which
-  build produced the numbers; with ``--profile`` the per-atom resource
-  histograms are exposed too.
-
 * ``serve`` — the multi-tenant serving daemon: ``POST /submit`` runs a
   seeded workload spec for the tenant named by the ``X-Repro-Tenant``
   header (per-tenant sessions, per-tenant metric labels);
-  ``GET /status/<id>`` / ``GET /result/<id>`` fetch outcomes; repeat
-  queries hit an LRU plan cache (fingerprint × calibration epoch ×
-  config epoch) and skip enumeration entirely, while a process-wide
-  slot pool shares each platform's concurrency budget across queries::
+  ``GET /status/<id>`` / ``GET /result/<id>`` fetch outcomes;
+  ``GET /metrics`` is the Prometheus exposition (tenant-labelled series
+  plus a ``repro_run_info`` gauge naming the git sha and config epoch,
+  and, under ``REPRO_PROFILE=1``, the per-atom resource histograms);
+  repeat queries hit an LRU plan cache (fingerprint × calibration
+  epoch × config epoch) and skip enumeration entirely, while a
+  process-wide slot pool shares each platform's concurrency budget
+  across queries::
 
       python -m repro serve --port 9465 --cache-size 64
-
-* ``report`` — the perf-regression observatory: compare the bench run
-  history (``benchmarks/results/history.jsonl``) against the committed
-  ``BENCH_*.json`` baselines and render a dashboard; ``--check`` turns
-  it into a gate (best-of-N medians, per-metric tolerance bands, hard
-  floors on byte-identity) that exits non-zero on regression::
-
-      python -m repro report
-      python -m repro report --check --best-of 3
 
 * ``calibration`` — inspect (``show``) or drop (``reset``) the
   cross-run cardinality calibration store written by ``--calibrate``::
@@ -362,22 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: 10)",
     )
 
-    serve = commands.add_parser(
-        "serve-metrics",
-        help="run the demo pipeline, then serve its metrics registry "
-        "as a Prometheus scrape endpoint (GET /metrics)",
-    )
-    serve.add_argument(
-        "--host", default="127.0.0.1", help="bind address (default: loopback)"
-    )
-    serve.add_argument(
-        "--port", type=int, default=9464,
-        help="bind port (default: 9464; 0 picks a free port)",
-    )
-    _add_parallelism_flag(serve)
-    _add_execution_mode_flag(serve)
-    _add_profile_flag(serve)
-
     serve_daemon = commands.add_parser(
         "serve",
         help="multi-tenant serving daemon: POST /submit workload specs "
@@ -399,69 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_parallelism_flag(serve_daemon)
     _add_execution_mode_flag(serve_daemon)
 
-    report = commands.add_parser(
-        "report",
-        help="perf-regression observatory: compare the bench run history "
-        "against the committed BENCH_*.json baselines",
-    )
-    report.add_argument(
-        "--results",
-        default=os.path.join("benchmarks", "results"),
-        metavar="DIR",
-        help="results directory holding history.jsonl "
-        "(default: benchmarks/results)",
-    )
-    report.add_argument(
-        "--baselines",
-        default=None,
-        metavar="DIR",
-        help="directory holding the baseline BENCH_*.json payloads "
-        "(default: the --results directory)",
-    )
-    report.add_argument(
-        "--history",
-        default=None,
-        metavar="FILE",
-        help="history file to compare (default: <results>/history.jsonl)",
-    )
-    report.add_argument(
-        "--best-of",
-        type=int,
-        default=3,
-        metavar="N",
-        help="window size: compare medians over the last N runs per "
-        "experiment (default: 3)",
-    )
-    report.add_argument(
-        "--wall-tolerance",
-        type=float,
-        default=None,
-        metavar="FRAC",
-        help="allowed fractional regression for wall-clock metrics "
-        "(default: 0.5 — CI boxes are noisy)",
-    )
-    report.add_argument(
-        "--virtual-tolerance",
-        type=float,
-        default=None,
-        metavar="FRAC",
-        help="allowed fractional regression for virtual-time metrics "
-        "(default: 0.02 — the bill is deterministic)",
-    )
-    report.add_argument(
-        "--markdown", action="store_true", help="render markdown instead of text"
-    )
-    report.add_argument(
-        "--out",
-        default=None,
-        metavar="FILE",
-        help="also write the rendered report to FILE (CI artifact)",
-    )
-    report.add_argument(
-        "--check",
-        action="store_true",
-        help="exit non-zero when any gate fails (perf regression)",
-    )
     return parser
 
 
@@ -1122,47 +1031,6 @@ def command_trace_diff(args) -> int:
     return 0
 
 
-def command_serve_metrics(ctx: RheemContext, args) -> int:
-    """Run the demo workload, then serve its registry over HTTP."""
-    from repro.core.observability import MetricsHTTPServer, set_build_info
-    from repro.core.observability.report import repo_git_sha
-    from repro.core.recovery import config_epoch
-
-    tracer = Tracer()
-    ctx.attach_tracer(tracer)
-    handle = _demo_handle(ctx)
-    _, metrics = handle.collect_with_metrics()
-    print("demo run:", metrics.summary(), file=sys.stderr)
-    # Build-identity gauge: scrapes must be attributable to the commit
-    # and config epoch that produced the numbers.  Idempotent on
-    # purpose: restarting the server in one process (or against a
-    # shared registry) must replace the info series, not accrete a
-    # stale second one.
-    set_build_info(
-        tracer.registry,
-        git_sha=repo_git_sha() or "unknown",
-        config_epoch=config_epoch(
-            columnar=ctx.executor.columnar,
-            columnar_native=ctx.executor.columnar_native,
-            calibration=ctx.executor.calibration is not None,
-        ),
-    )
-    server = MetricsHTTPServer(tracer.registry, host=args.host, port=args.port)
-    with server:
-        print(
-            f"serving Prometheus metrics on {server.url} (Ctrl-C to stop)",
-            file=sys.stderr,
-        )
-        try:
-            while True:
-                import time
-
-                time.sleep(3600)
-        except KeyboardInterrupt:  # pragma: no cover - interactive
-            print("shutting down", file=sys.stderr)
-    return 0
-
-
 def command_serve(args) -> int:
     """``repro serve``: the multi-tenant serving daemon."""
     import signal
@@ -1200,59 +1068,6 @@ def command_serve(args) -> int:
     return 0
 
 
-def command_report(args) -> int:
-    """``repro report``: the perf-regression observatory."""
-    from repro.core.observability.report import (
-        DEFAULT_VIRTUAL_TOLERANCE,
-        DEFAULT_WALL_TOLERANCE,
-        build_report,
-        load_baselines,
-        load_history,
-        render_report,
-    )
-
-    results_dir = args.results
-    baselines = load_baselines(args.baselines or results_dir)
-    if not baselines:
-        raise SystemExit(
-            f"no BENCH_*.json baselines under "
-            f"{args.baselines or results_dir!r}"
-        )
-    history_path = args.history or os.path.join(results_dir, "history.jsonl")
-    history, skipped = load_history(history_path)
-    report = build_report(
-        baselines,
-        history,
-        best_of=max(1, args.best_of),
-        wall_tolerance=(
-            args.wall_tolerance
-            if args.wall_tolerance is not None
-            else DEFAULT_WALL_TOLERANCE
-        ),
-        virtual_tolerance=(
-            args.virtual_tolerance
-            if args.virtual_tolerance is not None
-            else DEFAULT_VIRTUAL_TOLERANCE
-        ),
-        skipped_lines=skipped,
-    )
-    rendered = render_report(report, markdown=args.markdown)
-    print(rendered)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(rendered + "\n")
-    if args.check:
-        regressions = report.regressions
-        if regressions:
-            print(
-                f"perf check FAILED: {len(regressions)} regression(s)",
-                file=sys.stderr,
-            )
-            return 1
-        print("perf check passed", file=sys.stderr)
-    return 0
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
@@ -1262,8 +1077,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return command_calibration(args)
     if args.command == "resume":
         return command_resume(args)
-    if args.command == "report":
-        return command_report(args)
     if args.command == "serve":
         return command_serve(args)
 
@@ -1287,8 +1100,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         code = command_sql(ctx, args)
     elif args.command == "explain":
         code = command_explain(ctx, args)
-    elif args.command == "serve-metrics":
-        return command_serve_metrics(ctx, args)
     else:  # pragma: no cover
         raise SystemExit(f"unknown command {args.command!r}")
     if store is not None and store_path is not None and code == 0:

@@ -302,6 +302,11 @@ class Executor:
                 atoms=len(plan.atoms),
                 platforms=[p.name for p in plan.platforms],
             )
+        # The profiler's process-wide hooks live exactly as long as this
+        # run (shared, reference-counted, with concurrent runs).
+        profiler = self._profiler
+        if profiler is not None:
+            profiler.attach()
         try:
             self._emit(
                 EXECUTION_STARTED,
@@ -398,6 +403,8 @@ class Executor:
                 )
             return ExecutionResult(outputs, metrics)
         finally:
+            if profiler is not None:
+                profiler.detach()
             if span is not None:
                 tracer.end_span(span)
 

@@ -16,9 +16,9 @@ Public surface:
   real-resource attribution: CPU vs wall, peak allocation, GC pauses,
   scheduler queue wait, channel payload bytes — charged as span attrs
   and registry histograms;
-* the perf-regression observatory (:mod:`.report`) — baselines vs the
-  ``history.jsonl`` run record with statistical gating, behind the
-  ``repro report`` CLI.
+* :func:`set_build_info` — the ``repro_run_info`` gauge (git sha +
+  config epoch) that ``repro serve`` stamps on its ``/metrics``;
+* :func:`diff_traces` — align two JSONL span logs (``repro trace-diff``).
 
 Attach a tracer via ``RheemContext(tracer=...)`` (or
 ``ctx.attach_tracer``); with no tracer attached nothing here is touched
@@ -50,13 +50,6 @@ from repro.core.observability.registry import (
     MetricsRegistry,
     set_build_info,
 )
-from repro.core.observability.report import (
-    PerfReport,
-    build_report,
-    load_baselines,
-    load_history,
-    render_report,
-)
 from repro.core.observability.resources import (
     BYTE_BUCKETS,
     PROFILE_ENV,
@@ -65,7 +58,6 @@ from repro.core.observability.resources import (
     profiling_enabled,
     resource_summary,
 )
-from repro.core.observability.server import MetricsHTTPServer
 from repro.core.observability.spans import (
     KIND_EXECUTOR,
     KIND_MOVEMENT,
@@ -93,25 +85,19 @@ __all__ = [
     "KIND_STORAGE",
     "KIND_TASK",
     "MetricsRegistry",
-    "MetricsHTTPServer",
     "NULL_SPAN",
     "PROFILE_ENV",
-    "PerfReport",
     "ResourceProfiler",
     "Span",
     "SpanEvent",
     "TraceDiff",
     "Tracer",
-    "build_report",
     "diff_files",
     "diff_traces",
-    "load_baselines",
-    "load_history",
     "load_records",
     "maybe_span",
     "profiling_enabled",
     "render_diff",
-    "render_report",
     "prometheus_text",
     "set_build_info",
     "render_flamegraph",

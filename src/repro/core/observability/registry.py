@@ -19,6 +19,8 @@ same series.
 from __future__ import annotations
 
 import math
+import os
+import subprocess
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Any, Iterable
@@ -321,3 +323,19 @@ def set_build_info(
     gauge = registry.gauge(name, help)
     gauge.series.clear()
     gauge.set(1, **labels)
+
+
+def repo_git_sha(cwd: str | None = None) -> str | None:
+    """HEAD commit sha, or None outside a git checkout."""
+    try:
+        out = subprocess.run(
+            ["git", "rev-parse", "HEAD"],
+            cwd=cwd or os.getcwd(),
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+    except (OSError, subprocess.TimeoutExpired):  # pragma: no cover
+        return None
+    sha = out.stdout.strip()
+    return sha if out.returncode == 0 and sha else None

@@ -27,13 +27,15 @@ Chrome-trace/JSONL exporters and the run journal untouched.
 
 When profiling is off the executor holds no profiler and every hook is
 an ``is None`` check — zero allocation, no tracemalloc, no GC callback;
-enforced by tests exactly like the tracer's no-op fast path.
+enforced by tests exactly like the tracer's no-op fast path.  When it is
+on, the process-wide hooks live exactly as long as the runs using them.
 """
 
 from __future__ import annotations
 
 import gc
 import os
+import threading
 import time
 import tracemalloc
 from typing import TYPE_CHECKING
@@ -91,35 +93,47 @@ REAL_MS_BUCKETS = (
 )
 
 
-class _GcMonitor:
-    """Process-wide cyclic-GC pause accumulator.
+class _ProcessHooks:
+    """The process-wide hooks a profiled run needs, reference counted.
 
-    A single callback on ``gc.callbacks`` accumulates total pause
-    milliseconds and collection count.  CPython runs a collection on the
-    thread that triggered it while holding the GIL, so start/stop pairs
-    never interleave across threads and one pending-start slot suffices.
-    Atom probes snapshot the totals and charge the delta to whichever
-    atom was running on the triggering thread.
+    ``tracemalloc`` and one callback on ``gc.callbacks`` that accumulates
+    total pause milliseconds and collection count.  CPython runs a
+    collection on the thread that triggered it while holding the GIL, so
+    start/stop pairs never interleave across threads and one
+    pending-start slot suffices.  Atom probes snapshot the totals and
+    charge the delta to whichever atom was running on the triggering
+    thread.
+
+    Concurrent profiled runs (the serving daemon's tenants) share the
+    hooks: the first :meth:`acquire` attaches them, the last
+    :meth:`release` undoes exactly what that first one did — it stops
+    ``tracemalloc`` only if it was the one that started it.
     """
 
     def __init__(self) -> None:
         self.pause_ms = 0.0
         self.collections = 0
         self._pending_start = 0.0
-        self._installed = False
+        self._lock = threading.Lock()
+        self._users = 0
+        self._started_tracemalloc = False
 
-    def install(self) -> None:
-        if not self._installed:
-            gc.callbacks.append(self._on_gc)
-            self._installed = True
+    def acquire(self) -> None:
+        with self._lock:
+            if self._users == 0:
+                self._started_tracemalloc = not tracemalloc.is_tracing()
+                if self._started_tracemalloc:
+                    tracemalloc.start()
+                gc.callbacks.append(self._on_gc)
+            self._users += 1
 
-    def uninstall(self) -> None:
-        if self._installed:
-            try:
+    def release(self) -> None:
+        with self._lock:
+            self._users -= 1
+            if self._users == 0:
                 gc.callbacks.remove(self._on_gc)
-            except ValueError:  # pragma: no cover - already removed
-                pass
-            self._installed = False
+                if self._started_tracemalloc:
+                    tracemalloc.stop()
 
     def _on_gc(self, phase: str, info: dict) -> None:
         if phase == "start":
@@ -130,6 +144,9 @@ class _GcMonitor:
 
     def snapshot(self) -> tuple[float, int]:
         return self.pause_ms, self.collections
+
+
+_HOOKS = _ProcessHooks()
 
 
 class AtomProbe:
@@ -166,33 +183,28 @@ class AtomProbe:
 class ResourceProfiler:
     """Samples real resources around each atom and charges span + registry.
 
-    Constructing a profiler starts ``tracemalloc`` (if not already
-    tracing) and installs the GC pause monitor; both are process-wide
-    and shared by worker threads.  The profiler itself is stateless per
-    atom — each execution gets its own :class:`AtomProbe`.
+    Construction touches nothing process-wide.  ``tracemalloc`` and the
+    GC pause monitor are attached for the span of one run —
+    :meth:`attach` on entry, :meth:`detach` in a ``finally``, which
+    ``Executor.execute`` does — and shared by its worker threads (forked
+    workers inherit them).  The profiler itself is stateless per atom —
+    each execution gets its own :class:`AtomProbe`.
     """
 
-    def __init__(self) -> None:
-        self._started_tracemalloc = False
-        if not tracemalloc.is_tracing():
-            tracemalloc.start()
-            self._started_tracemalloc = True
-        self._gc = _GcMonitor()
-        self._gc.install()
+    def attach(self) -> None:
+        """Attach the process-wide hooks for one run (reference counted)."""
+        _HOOKS.acquire()
 
-    def close(self) -> None:
-        """Detach process-wide hooks (tests; optional in normal runs)."""
-        self._gc.uninstall()
-        if self._started_tracemalloc and tracemalloc.is_tracing():
-            tracemalloc.stop()
-            self._started_tracemalloc = False
+    def detach(self) -> None:
+        """Release what :meth:`attach` took; the last run out detaches."""
+        _HOOKS.release()
 
     # ------------------------------------------------------------------
     def start_atom(self, queue_wait_ms: float = 0.0) -> AtomProbe:
         """Snapshot resources at atom start (on the executing thread)."""
         current, _peak = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
-        gc_pause, gc_count = self._gc.snapshot()
+        gc_pause, gc_count = _HOOKS.snapshot()
         return AtomProbe(
             queue_wait_ms=queue_wait_ms,
             cpu_start=time.thread_time(),
@@ -217,7 +229,7 @@ class ResourceProfiler:
         cpu_ms = (time.thread_time() - probe._cpu_start) * 1e3
         _current, peak = tracemalloc.get_traced_memory()
         peak_alloc = max(0, peak - probe._alloc_start)
-        gc_pause, gc_count = self._gc.snapshot()
+        gc_pause, gc_count = _HOOKS.snapshot()
         gc_pause_ms = gc_pause - probe._gc_pause_start
         gc_collections = gc_count - probe._gc_count_start
         if span is not None:

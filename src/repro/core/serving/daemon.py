@@ -1,9 +1,7 @@
 """The ``repro serve`` daemon: multi-tenant query serving over HTTP.
 
-Same stdlib shape as
-:class:`~repro.core.observability.server.MetricsHTTPServer` — a
-:class:`~http.server.ThreadingHTTPServer` on a daemon thread, no
-framework — but serving *queries* instead of scrapes:
+A stdlib :class:`~http.server.ThreadingHTTPServer` on a daemon
+thread, no framework:
 
 * ``POST /submit`` — run a workload spec (``{"workload": ..., ...}``,
   see :mod:`repro.core.serving.workloads`) for the tenant named by the
@@ -13,7 +11,8 @@ framework — but serving *queries* instead of scrapes:
 * ``GET /result/<id>`` — full payload: rows, tenant-tagged ledger,
   span names, enumeration-span count.
 * ``GET /healthz`` — liveness; ``GET /metrics`` — the serving
-  registry's Prometheus exposition (every series tenant-labelled).
+  registry's Prometheus exposition (every series tenant-labelled, plus
+  a ``repro_run_info`` gauge naming the git sha and config epoch).
 
 Requests run synchronously on their handler thread.  Per tenant there
 is one :class:`~repro.core.context.RheemContext` session (queries of
@@ -34,7 +33,11 @@ from typing import Callable
 
 from repro.core.context import RheemContext
 from repro.core.observability.export import prometheus_text
-from repro.core.observability.registry import MetricsRegistry, set_build_info
+from repro.core.observability.registry import (
+    MetricsRegistry,
+    repo_git_sha,
+    set_build_info,
+)
 from repro.core.observability.spans import Tracer
 from repro.core.serving.admission import PlatformSlotPool
 from repro.core.serving.plan_cache import PlanCache
@@ -42,7 +45,6 @@ from repro.core.serving.sessions import SessionManager, TenantSession
 from repro.core.serving.workloads import build_workload
 from repro.errors import ValidationError
 
-#: default port: one above serve-metrics' 9464, so both fit side by side
 DEFAULT_PORT = 9465
 
 #: largest ``/submit`` body accepted; specs are a few hundred bytes
@@ -239,7 +241,6 @@ class ServingDaemon:
 
     def _stamp_build_info(self) -> None:
         from repro.core.executor import Executor
-        from repro.core.observability.report import repo_git_sha
 
         probe = Executor()
         set_build_info(
@@ -332,7 +333,7 @@ class ServingDaemon:
             return self._queries.get(query_id)
 
     # ------------------------------------------------------------------
-    # HTTP lifecycle (MetricsHTTPServer shape)
+    # HTTP lifecycle
     # ------------------------------------------------------------------
     @property
     def port(self) -> int:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import tracemalloc
+
 import pytest
 
 from repro import RheemContext
@@ -9,6 +12,38 @@ from repro.core.types import Schema
 from repro.platforms import JavaPlatform, PostgresPlatform, SparkPlatform
 
 PLATFORM_NAMES = ("java", "spark", "postgres")
+
+
+def _gc_callbacks() -> list:
+    """``gc.callbacks`` minus the one Hypothesis installs, once, on the
+    first test that uses it."""
+    return [
+        callback for callback in gc.callbacks
+        if not getattr(callback, "__module__", "").startswith("hypothesis")
+    ]
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_profiler_hooks():
+    """Fail a test that leaves ``tracemalloc`` tracing or a GC callback
+    behind, then undo the leak so later tests run as they would alone.
+
+    A profiled run owns those process-wide hooks only while it executes;
+    one left attached slows every later test several times over.
+    """
+    callbacks_before = _gc_callbacks()
+    yield
+    leaks = []
+    if tracemalloc.is_tracing():
+        tracemalloc.stop()
+        leaks.append("tracemalloc is still tracing")
+    added = [cb for cb in _gc_callbacks() if cb not in callbacks_before]
+    if added:
+        for callback in added:
+            gc.callbacks.remove(callback)
+        leaks.append(f"{len(added)} gc callback(s) left installed")
+    if leaks:
+        pytest.fail("leaked process-wide hooks: " + "; ".join(leaks))
 
 
 @pytest.fixture()

@@ -1,9 +1,10 @@
 """Regression tests for info-gauge (re-)registration.
 
-``repro serve-metrics`` restarted within one process used to call
+A metrics server restarted within one process used to call
 ``gauge("run_info").set(1, **labels)`` directly; because every label set
 keys its own series, a restart under a new git sha or config epoch
 accreted a second, stale ``repro_run_info`` series in the exposition.
+``repro serve`` stamps the gauge through the same helper.
 :func:`set_build_info` makes registration idempotent — these tests pin
 that exactly one series survives any number of re-registrations.
 """

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.core.observability import Counter, Gauge, Histogram, MetricsRegistry
+from repro.core.observability.registry import repo_git_sha
 
 
 class TestCounter:
@@ -185,3 +186,8 @@ class TestRegistry:
         registry.counter("zz")
         registry.counter("aa")
         assert [i.name for i in registry.instruments()] == ["aa", "zz"]
+
+
+def test_repo_git_sha_in_this_checkout():
+    sha = repo_git_sha()
+    assert sha and len(sha) == 40

@@ -11,6 +11,9 @@
   unchanged, and the no-op fast path allocates no probe, starts no
   tracemalloc and installs no GC callback (enforced with exploding
   monkeypatches, exactly like the tracer's no-op test);
+* the profiler's process-wide hooks live exactly as long as the runs
+  using them: construction touches nothing, concurrent runs share the
+  hooks and the last one out restores what the first one found;
 * channel ``payload_bytes()`` is exact for columnar buffers and a
   sampled estimate for row channels;
 * the registry histogram ``quantile()`` / ``merge_from()`` contracts
@@ -21,6 +24,8 @@ from __future__ import annotations
 
 import gc
 import re
+import sys
+import threading
 import tracemalloc
 from array import array
 from contextlib import contextmanager
@@ -68,13 +73,14 @@ def wordcount(ctx):
 
 
 @contextmanager
-def profiled_context(**kwargs):
-    """A profiling context whose process-wide hooks are detached after."""
-    ctx = RheemContext(profile=True, **kwargs)
+def attached_profiler():
+    """A profiler with its process-wide hooks attached, as a run has."""
+    profiler = ResourceProfiler()
+    profiler.attach()
     try:
-        yield ctx
+        yield profiler
     finally:
-        ctx.executor._profiler.close()
+        profiler.detach()
 
 
 class _FakeSpan:
@@ -149,8 +155,7 @@ class TestPayloadBytes:
 # ----------------------------------------------------------------------
 class TestResourceProfilerUnit:
     def test_probe_charges_span_and_registry(self):
-        profiler = ResourceProfiler()
-        try:
+        with attached_profiler() as profiler:
             registry = MetricsRegistry()
             span = _FakeSpan()
             probe = profiler.start_atom(queue_wait_ms=1.25)
@@ -158,8 +163,6 @@ class TestResourceProfilerUnit:
             gc.collect()  # at least one attributable collection
             profiler.finish_atom(probe, span, registry, "java")
             del blob
-        finally:
-            profiler.close()
 
         attrs = span.attributes
         assert set(PROFILE_ATTRS) <= set(attrs)
@@ -179,29 +182,23 @@ class TestResourceProfilerUnit:
         ) == float(attrs["peak_alloc_bytes"])
 
     def test_record_channel_accumulates(self):
-        profiler = ResourceProfiler()
-        try:
+        with attached_profiler() as profiler:
             registry = MetricsRegistry()
             probe = profiler.start_atom()
             profiler.record_channel(probe, 1000, registry, "java")
             profiler.record_channel(probe, 234, registry, "java")
-        finally:
-            profiler.close()
         assert probe.channel_bytes == 1234
         hist = registry.histogram("channel_bytes")
         assert hist.count(platform="java") == 2
         assert hist.sum(platform="java") == 1234.0
 
     def test_resource_summary_totals(self):
-        profiler = ResourceProfiler()
-        try:
+        with attached_profiler() as profiler:
             registry = MetricsRegistry()
             for platform in ("java", "postgres"):
                 probe = profiler.start_atom()
                 profiler.record_channel(probe, 100, registry, platform)
                 profiler.finish_atom(probe, None, registry, platform)
-        finally:
-            profiler.close()
         summary = resource_summary(registry)
         assert set(summary) == {
             "atom_cpu_ms",
@@ -217,15 +214,67 @@ class TestResourceProfilerUnit:
     def test_resource_summary_empty_when_unprofiled(self):
         assert resource_summary(MetricsRegistry()) == {}
 
-    def test_close_detaches_process_hooks(self):
+    def test_construction_touches_no_process_hook(self, monkeypatch):
+        from repro.core.serving import ServingDaemon
+
         callbacks_before = len(gc.callbacks)
-        was_tracing = tracemalloc.is_tracing()
-        profiler = ResourceProfiler()
-        assert len(gc.callbacks) == callbacks_before + 1
-        assert tracemalloc.is_tracing()
-        profiler.close()
+        ResourceProfiler()
+        RheemContext(profile=True)
+        monkeypatch.setenv(PROFILE_ENV, "1")
+        ServingDaemon()  # stamps build info through a probe Executor()
         assert len(gc.callbacks) == callbacks_before
-        assert tracemalloc.is_tracing() == was_tracing
+        assert not tracemalloc.is_tracing()
+
+    def test_last_detach_restores_the_hooks(self):
+        callbacks_before = len(gc.callbacks)
+        first, second = ResourceProfiler(), ResourceProfiler()
+        first.attach()
+        second.attach()
+        assert len(gc.callbacks) == callbacks_before + 1
+        first.detach()
+        assert tracemalloc.is_tracing()
+        assert len(gc.callbacks) == callbacks_before + 1
+        second.detach()
+        assert len(gc.callbacks) == callbacks_before
+        assert not tracemalloc.is_tracing()
+
+    def test_reference_count_survives_contention(self):
+        # More threads than cores, switching as often as the interpreter
+        # allows: a lost update to the count would detach the hooks under
+        # a thread that still holds them, or leave them attached.
+        callbacks_before = len(gc.callbacks)
+        detached_while_held = []
+
+        def churn():
+            profiler = ResourceProfiler()
+            for _ in range(100):
+                profiler.attach()
+                if not tracemalloc.is_tracing():
+                    detached_while_held.append(threading.get_ident())
+                profiler.detach()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=churn) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert detached_while_held == []
+        assert len(gc.callbacks) == callbacks_before
+        assert not tracemalloc.is_tracing()
+
+    def test_tracing_started_by_the_caller_stays_on(self):
+        tracemalloc.start()
+        try:
+            wordcount(RheemContext(profile=True)).collect()
+            assert tracemalloc.is_tracing()
+        finally:
+            tracemalloc.stop()
 
 
 # ----------------------------------------------------------------------
@@ -262,11 +311,8 @@ class TestNoopFastPath:
     def test_env_flag_reaches_the_executor(self, monkeypatch):
         monkeypatch.setenv(PROFILE_ENV, "1")
         ctx = RheemContext()
-        try:
-            assert ctx.executor.profile is True
-            assert ctx.executor._profiler is not None
-        finally:
-            ctx.executor._profiler.close()
+        assert ctx.executor.profile is True
+        assert ctx.executor._profiler is not None
         monkeypatch.setenv(PROFILE_ENV, "0")
         assert RheemContext().executor._profiler is None
         # the explicit kwarg wins over the environment
@@ -280,10 +326,8 @@ class TestProfiledRun:
     @pytest.mark.parametrize("parallelism", [None, 4])
     def test_span_attrs_reconcile_with_histograms(self, parallelism):
         tracer = Tracer()
-        with profiled_context(
-            tracer=tracer, parallelism=parallelism
-        ) as ctx:
-            _, metrics = wordcount(ctx).collect_with_metrics()
+        ctx = RheemContext(profile=True, tracer=tracer, parallelism=parallelism)
+        _, metrics = wordcount(ctx).collect_with_metrics()
 
         atoms = [s for s in tracer.spans if s.name.startswith("atom#")]
         assert atoms
@@ -321,17 +365,44 @@ class TestProfiledRun:
 
     def test_parallel_run_records_queue_wait(self):
         tracer = Tracer()
-        with profiled_context(tracer=tracer, parallelism=4) as ctx:
-            _, metrics = wordcount(ctx).collect_with_metrics()
+        ctx = RheemContext(profile=True, tracer=tracer, parallelism=4)
+        _, metrics = wordcount(ctx).collect_with_metrics()
         hist = metrics.registry.histogram("atom_queue_wait_ms")
         # the scheduler stamps a real dispatch-to-start latency
         assert sum(series.n for series in hist.series.values()) > 0
         assert sum(series.total for series in hist.series.values()) >= 0.0
 
+    def test_concurrent_runs_share_the_hooks(self):
+        # Both runs are inside execute at the barrier: the first one out
+        # must leave the hooks to the second, the second detaches them.
+        callbacks_before = len(gc.callbacks)
+        barrier = threading.Barrier(2, timeout=30)
+        tracing_at_barrier = {}
+
+        def meet(line):
+            me = threading.get_ident()
+            if me not in tracing_at_barrier:
+                barrier.wait()
+                tracing_at_barrier[me] = tracemalloc.is_tracing()
+            return line
+
+        def run():
+            ctx = RheemContext(profile=True)
+            ctx.collection(["a b"] * 4).map(meet).collect()
+
+        threads = [threading.Thread(target=run) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+        assert list(tracing_at_barrier.values()) == [True, True]
+        assert len(gc.callbacks) == callbacks_before
+        assert not tracemalloc.is_tracing()
+
     def test_flamegraph_gains_self_wait_column(self):
         tracer = Tracer()
-        with profiled_context(tracer=tracer) as ctx:
-            wordcount(ctx).collect()
+        wordcount(RheemContext(profile=True, tracer=tracer)).collect()
         rendered = render_flamegraph(tracer)
         assert "self=" in rendered and "wait=" in rendered
 
@@ -351,11 +422,7 @@ class TestEquivalence:
         ctx = RheemContext(
             tracer=tracer, profile=profile, parallelism=parallelism
         )
-        try:
-            out, metrics = wordcount(ctx).collect_with_metrics()
-        finally:
-            if profile:
-                ctx.executor._profiler.close()
+        out, metrics = wordcount(ctx).collect_with_metrics()
         # atom ids draw from a process-global counter, so two separate
         # runs shift them uniformly; the comparable bill is the rest
         ledger = [

@@ -8,15 +8,18 @@ no leaked serving threads.
 
 from __future__ import annotations
 
+import gc
 import json
 import socket
 import threading
 import time
+import tracemalloc
 import urllib.error
 import urllib.request
 
 import pytest
 
+from repro import RheemContext
 from repro.core.serving import ServingDaemon
 from repro.core.serving.daemon import _ENUMERATION_SPANS, MAX_SUBMIT_BYTES
 
@@ -53,6 +56,9 @@ class TestServeSmoke:
         with ServingDaemon(port=0) as daemon:
             status, body = _get(daemon.url + "/healthz")
             assert (status, body) == (200, "ok\n")
+            status, body = _get(daemon.url + "/")
+            assert status == 200
+            assert 'href="/metrics"' in body and 'href="/healthz"' in body
 
             cold = _submit(daemon, SPEC)
             assert cold["plan_cache"] == "miss"
@@ -117,6 +123,24 @@ class TestServeSmoke:
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 _get(daemon.url + "/nope")
             assert excinfo.value.code == 404
+
+    def test_profiled_tenants_expose_resource_metrics(self):
+        # A daemon whose sessions profile: the per-atom resource
+        # histograms reach /metrics tenant-labelled, and the profiler's
+        # process-wide hooks are gone again once the query returns.
+        callbacks_before = len(gc.callbacks)
+        with ServingDaemon(
+            port=0, context_factory=lambda: RheemContext(profile=True)
+        ) as daemon:
+            _submit(daemon, SPEC)
+            assert not tracemalloc.is_tracing()
+            assert len(gc.callbacks) == callbacks_before
+            _, text = _get(daemon.url + "/metrics")
+        cpu = [
+            line for line in text.splitlines()
+            if line.startswith("repro_atom_cpu_ms_count{")
+        ]
+        assert cpu and all('tenant="smoke"' in line for line in cpu), cpu
 
     def test_stop_is_idempotent_and_restartable(self):
         daemon = ServingDaemon(port=0)

@@ -135,3 +135,13 @@ def test_validator_rejects_bad_documents():
             "BENCH_ABL1.json",
             {k: good[k] for k in PROVENANCE_KEYS},
         )
+
+
+def test_write_atomic_replaces_without_droppings(tmp_path):
+    from benchmarks.harness import write_atomic
+
+    path = tmp_path / "latest.txt"
+    write_atomic(str(path), "first\n")
+    write_atomic(str(path), "second\n")
+    assert path.read_text(encoding="utf-8") == "second\n"
+    assert os.listdir(tmp_path) == ["latest.txt"]  # no temp files left

@@ -198,6 +198,12 @@ class TestTraceFlags:
         assert "task" in err
         assert "%" in err and "█" in err
 
+    def test_profile_flag_parses(self):
+        args = build_parser().parse_args(["demo", "--profile"])
+        assert args.profile is True
+        args = build_parser().parse_args(["demo"])
+        assert args.profile is None
+
     def test_untraced_demo_prints_no_trace_output(self, capsys):
         assert main(["demo"]) == 0
         assert "[trace]" not in capsys.readouterr().err
@@ -223,18 +229,3 @@ class TestParallelismFlag:
         ])
         assert code == 0
         assert "eng" in capsys.readouterr().out
-
-
-class TestServeMetricsParser:
-    def test_parser_defaults(self):
-        args = build_parser().parse_args(["serve-metrics"])
-        assert args.host == "127.0.0.1"
-        assert args.port == 9464
-        assert args.parallelism is None
-
-    def test_parser_overrides(self):
-        args = build_parser().parse_args(
-            ["serve-metrics", "--host", "0.0.0.0", "--port", "0",
-             "--parallelism", "2"]
-        )
-        assert (args.host, args.port, args.parallelism) == ("0.0.0.0", 0, 2)

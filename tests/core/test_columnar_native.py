@@ -422,19 +422,16 @@ class TestProfiledElision:
             parallelism=parallelism,
             tracer=tracer,
         )
-        try:
-            out, metrics = (
-                ctx.collection([(i, i * 3) for i in range(self.N)])
-                .repeat(
-                    2,
-                    lambda d: d.filter(ColumnPredicate(0, (-1).__lt__)).map(
-                        itemgetter(1, 0)
-                    ),
-                )
-                .collect_with_metrics()
+        out, metrics = (
+            ctx.collection([(i, i * 3) for i in range(self.N)])
+            .repeat(
+                2,
+                lambda d: d.filter(ColumnPredicate(0, (-1).__lt__)).map(
+                    itemgetter(1, 0)
+                ),
             )
-        finally:
-            ctx.executor._profiler.close()
+            .collect_with_metrics()
+        )
         return tracer, out, metrics
 
     @pytest.mark.parametrize("parallelism", [1, 4])
