@@ -10,6 +10,7 @@ its operator semantics.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from typing import Callable, Generic, Iterable, Iterator, Sequence, TypeVar
 
 from repro.errors import PlanError, ValidationError
@@ -53,11 +54,24 @@ class OperatorGraph(Generic[OpT]):
     The graph owns no execution semantics; it only maintains structure:
     which operators exist, which operators feed which input slots, and the
     resulting topological order.
+
+    The consumer index and the topological order are derived views, built
+    on first use and dropped by every surgery method, so traversals stay
+    linear in plan size.  A build publishes the finished view in one
+    assignment: threads sharing an unchanging graph (a cached execution
+    plan replayed for two tenants) at worst build it twice, identically.
     """
 
     def __init__(self) -> None:
         self._operators: list[OpT] = []
         self._inputs: dict[int, list[OpT]] = {}
+        self._consumers: dict[int, tuple[OpT, ...]] | None = None
+        self._order: list[OpT] | None = None
+
+    def _changed(self) -> None:
+        """Drop the derived views after the wiring changed."""
+        self._consumers = None
+        self._order = None
 
     # ------------------------------------------------------------------
     # construction
@@ -79,6 +93,7 @@ class OperatorGraph(Generic[OpT]):
                 raise PlanError(
                     f"input {producer!r} of {operator!r} is not part of this plan"
                 )
+        self._changed()
         self._operators.append(operator)
         self._inputs[operator.id] = list(inputs)
         return operator
@@ -99,11 +114,26 @@ class OperatorGraph(Generic[OpT]):
             raise PlanError(f"{operator!r} is not part of this plan") from None
 
     def consumers_of(self, operator: OpT) -> tuple[OpT, ...]:
-        """All operators that read ``operator``'s output."""
+        """All operators that read ``operator``'s output.
+
+        Listed in insertion order, each consumer once however many of its
+        input slots ``operator`` feeds.
+        """
         self.inputs_of(operator)  # membership check
-        return tuple(
-            op for op in self._operators if operator in self._inputs[op.id]
-        )
+        return self._consumer_index()[operator.id]
+
+    def _consumer_index(self) -> dict[int, tuple[OpT, ...]]:
+        index = self._consumers
+        if index is None:
+            building: dict[int, list[OpT]] = {op.id: [] for op in self._operators}
+            for op in self._operators:
+                for producer in self._inputs[op.id]:
+                    consumers = building[producer.id]
+                    if not consumers or consumers[-1] is not op:
+                        consumers.append(op)
+            index = {op_id: tuple(ops) for op_id, ops in building.items()}
+            self._consumers = index
+        return index
 
     @property
     def sources(self) -> tuple[OpT, ...]:
@@ -134,25 +164,34 @@ class OperatorGraph(Generic[OpT]):
     def topological_order(self) -> list[OpT]:
         """Return the operators in a producers-before-consumers order.
 
+        Kahn's algorithm: ready operators leave in FIFO order, sources in
+        insertion order and each operator's consumers in insertion order,
+        so the order is deterministic.  Returns a fresh list.
+
         Raises :class:`PlanError` when the wiring contains a cycle (which
         cannot happen via :meth:`add` alone but can after plan surgery).
         """
-        in_degree = {op.id: len(self._inputs[op.id]) for op in self._operators}
-        by_id = {op.id: op for op in self._operators}
-        ready = [op for op in self._operators if in_degree[op.id] == 0]
-        order: list[OpT] = []
-        while ready:
-            current = ready.pop(0)
-            order.append(current)
-            for consumer in self._operators:
-                if current in self._inputs[consumer.id]:
-                    count = self._inputs[consumer.id].count(current)
-                    in_degree[consumer.id] -= count
+        order = self._order
+        if order is None:
+            consumers = self._consumer_index()
+            in_degree = {
+                op.id: len(self._inputs[op.id]) for op in self._operators
+            }
+            ready = deque(op for op in self._operators if in_degree[op.id] == 0)
+            order = []
+            while ready:
+                current = ready.popleft()
+                order.append(current)
+                for consumer in consumers[current.id]:
+                    # A producer feeding k slots of one consumer counts k times.
+                    slots = self._inputs[consumer.id]
+                    in_degree[consumer.id] -= slots.count(current)
                     if in_degree[consumer.id] == 0:
-                        ready.append(by_id[consumer.id])
-        if len(order) != len(self._operators):
-            raise PlanError("plan wiring contains a cycle")
-        return order
+                        ready.append(consumer)
+            if len(order) != len(self._operators):
+                raise PlanError("plan wiring contains a cycle")
+            self._order = order
+        return list(order)
 
     def validate(self) -> None:
         """Check structural invariants; raise :class:`ValidationError` if broken.
@@ -196,6 +235,7 @@ class OperatorGraph(Generic[OpT]):
         slots = self._inputs[operator.id]
         for index, producer in enumerate(slots):
             if producer is old:
+                self._changed()
                 slots[index] = new
                 return
         raise PlanError(f"{old!r} is not an input of {operator!r}")
@@ -210,6 +250,7 @@ class OperatorGraph(Generic[OpT]):
         for op in other._operators:
             if op.id in self._inputs:
                 raise PlanError(f"operator {op!r} present in both graphs")
+        self._changed()
         self._operators.extend(other._operators)
         self._inputs.update(other._inputs)
 
@@ -234,7 +275,9 @@ class OperatorGraph(Generic[OpT]):
         if len(producers) != 1:
             raise PlanError(f"can only remove unary operators, got {op!r}")
         producer = producers[0]
-        for consumer in self.consumers_of(op):
+        consumers = self.consumers_of(op)
+        self._changed()
+        for consumer in consumers:
             slots = self._inputs[consumer.id]
             for index, candidate in enumerate(slots):
                 if candidate is op:
@@ -250,6 +293,7 @@ class OperatorGraph(Generic[OpT]):
             raise PlanError(f"{op!r} still has inputs")
         if self.consumers_of(op):
             raise PlanError(f"{op!r} still has consumers")
+        self._changed()
         self._operators.remove(op)
         del self._inputs[op.id]
 
@@ -268,9 +312,11 @@ class OperatorGraph(Generic[OpT]):
                 f"replacement {new!r} has arity {new.num_inputs}, "
                 f"expected {old.num_inputs}"
             )
+        consumers = self.consumers_of(old)
+        self._changed()
         self._operators[self._operators.index(old)] = new
         self._inputs[new.id] = self._inputs.pop(old.id)
-        for op in self._operators:
+        for op in consumers:
             slots = self._inputs[op.id]
             for index, producer in enumerate(slots):
                 if producer is old:

@@ -21,6 +21,13 @@ choice.  Plans here are overwhelmingly tree-shaped, and the executor
 re-prices the final plan with observed cardinalities anyway, so the
 approximation only ever affects plan choice, never reported times.
 
+Per-platform start-ups are global, so the DP runs once per non-empty
+subset of the platform roster and the exact cost picks the winner.  What
+the subset does not change — order and wiring, each operator's choices
+and their costs, movement costs — is built once per plan in an
+:class:`_AssignmentTable` that every subset reads, so the whole search is
+linear in plan size (times the handful of subsets).
+
 Loops (``PRepeat``) are costed as ``iterations × body cost`` with
 loop-invariant sources priced at cache-read rates after the first
 iteration, and are always scheduled as a single-platform
@@ -130,26 +137,23 @@ class MultiPlatformOptimizer:
                         }
                     ),
                 )
+            table = _AssignmentTable(self, plan, estimates, roster)
             if forced_platform is not None:
                 if exclude_platforms and forced_platform in exclude_platforms:
                     raise OptimizationError(
                         f"forced platform {forced_platform!r} is excluded"
                     )
-                assignment = self._forced_assignment(
-                    plan, forced_platform, estimates
-                )
+                assignment = self._forced_assignment(table, forced_platform)
                 if span is not None:
                     span.set(
                         winner=[forced_platform],
-                        winner_cost=self._assignment_cost(
-                            plan, assignment, estimates
-                        ),
+                        winner_cost=table.cost(assignment),
                         reason=f"platform pinned to {forced_platform!r}",
                         candidates=1,
                     )
             else:
                 assignment = self._cost_based_assignment(
-                    plan, estimates, roster, tracer=tracer, span=span
+                    table, tracer=tracer, span=span
                 )
             if span is not None:
                 span.set(
@@ -215,13 +219,17 @@ class MultiPlatformOptimizer:
         Exposed for tests and ablations; includes per-platform start-up.
         """
         plan.validate()
-        roster = self._roster(exclude_platforms)
-        estimates = self.estimator.estimate_plan(plan)
+        table = _AssignmentTable(
+            self,
+            plan,
+            self.estimator.estimate_plan(plan),
+            self._roster(exclude_platforms),
+        )
         if forced_platform is not None:
-            assignment = self._forced_assignment(plan, forced_platform, estimates)
+            assignment = self._forced_assignment(table, forced_platform)
         else:
-            assignment = self._cost_based_assignment(plan, estimates, roster)
-        return self._assignment_cost(plan, assignment, estimates)
+            assignment = self._cost_based_assignment(table)
+        return table.cost(assignment)
 
     def _roster(
         self, exclude_platforms: "set[str] | None"
@@ -248,25 +256,6 @@ class MultiPlatformOptimizer:
         raise OptimizationError(
             f"unknown platform {name!r}; have {[p.name for p in self.platforms]}"
         )
-
-    def _choices_for(
-        self,
-        operator: PhysicalOperator,
-        platforms: "list[Platform] | None" = None,
-    ) -> list[Choice]:
-        variants = [operator] + list(operator.alternates)
-        choices = [
-            Choice(variant, platform)
-            for variant in variants
-            for platform in (platforms or self.platforms)
-            if platform.supports(variant)
-        ]
-        if not choices:
-            raise OptimizationError(
-                f"no platform supports {operator.describe()} "
-                f"(or any of its variants)"
-            )
-        return choices
 
     def _operator_cost(
         self,
@@ -326,14 +315,11 @@ class MultiPlatformOptimizer:
     # assignment search
     # ------------------------------------------------------------------
     def _forced_assignment(
-        self,
-        plan: PhysicalPlan,
-        platform_name: str,
-        estimates: dict[int, float],
+        self, table: "_AssignmentTable", platform_name: str
     ) -> dict[int, Choice]:
         platform = self._platform_by_name(platform_name)
         assignment: dict[int, Choice] = {}
-        for operator in plan.graph.topological_order():
+        for operator in table.order:
             variants = [operator] + list(operator.alternates)
             supported = [v for v in variants if platform.supports(v)]
             if not supported:
@@ -341,43 +327,36 @@ class MultiPlatformOptimizer:
                     f"platform {platform_name!r} does not support "
                     f"{operator.describe()}"
                 )
-            in_cards = tuple(
-                estimates[p.id] for p in plan.graph.inputs_of(operator)
-            )
-            out_card = estimates[operator.id]
             best = min(
                 supported,
-                key=lambda v: self._operator_cost(
-                    Choice(v, platform), in_cards, out_card
-                ),
+                key=lambda v: table.operator_cost(operator, Choice(v, platform)),
             )
             assignment[operator.id] = Choice(best, platform)
         return assignment
 
     def _cost_based_assignment(
         self,
-        plan: PhysicalPlan,
-        estimates: dict[int, float],
-        platforms: "list[Platform] | None" = None,
+        table: "_AssignmentTable",
         tracer: "Tracer | None" = None,
         span=None,
     ) -> dict[int, Choice]:
-        """Best assignment over all platform subsets of the roster.
+        """Best assignment over all platform subsets of the table's roster.
 
         The per-operator DP cannot see per-platform start-up costs (they
         are global, not per-edge), so running it over the full roster
         makes it sprinkle expensive-to-start platforms onto single
         operators.  Instead the DP runs once per non-empty platform
-        subset — exponential in the number of *platforms* (a handful),
-        linear in plan size — and the exact cost (start-ups included)
-        picks the winner.
+        subset — exponential in the number of *platforms* (a handful) —
+        and the exact cost (start-ups included) picks the winner.  Every
+        subset reads the same :class:`_AssignmentTable`, so each run is
+        a filter and lookups, linear in plan size.
 
         With a tracer attached, every subset becomes a ``candidate``
         span carrying its estimated cost (or infeasibility), and the
         enclosing ``span`` receives winner/cost/reason attributes — the
         enumerator's decision trace that ``repro explain`` renders.
         """
-        roster = self.platforms if platforms is None else platforms
+        roster = table.roster
         best: dict[int, Choice] | None = None
         best_cost = float("inf")
         best_names: list[str] = []
@@ -391,12 +370,12 @@ class MultiPlatformOptimizer:
                 tracer, "candidate", KIND_OPTIMIZER, platforms=names
             ) as cand_span:
                 try:
-                    candidate = self._dp_assignment(plan, estimates, subset)
+                    candidate = table.assign(subset)
                 except OptimizationError as error:
                     if cand_span is not None:
                         cand_span.set(feasible=False, why=str(error))
                     continue
-                cost = self._assignment_cost(plan, candidate, estimates)
+                cost = table.cost(candidate)
                 if cand_span is not None:
                     cand_span.set(feasible=True, estimated_cost_ms=cost)
                 if cost < best_cost:
@@ -408,7 +387,7 @@ class MultiPlatformOptimizer:
             ).inc(candidates)
         if best is None:
             # Re-raise the full-roster error with its informative message.
-            self._dp_assignment(plan, estimates, roster)
+            table.assign(roster)
             raise OptimizationError("no feasible platform assignment")
         if span is not None:
             span.set(
@@ -422,88 +401,6 @@ class MultiPlatformOptimizer:
                 ),
             )
         return best
-
-    def _dp_assignment(
-        self,
-        plan: PhysicalPlan,
-        estimates: dict[int, float],
-        platforms: "list[Platform]",
-    ) -> dict[int, Choice]:
-        graph = plan.graph
-        order = graph.topological_order()
-        # Forward DP: cheapest way to have each operator's output available
-        # under each choice.
-        dp: dict[int, dict[tuple[int, str], float]] = {}
-        choice_objects: dict[int, dict[tuple[int, str], Choice]] = {}
-        for operator in order:
-            in_cards = tuple(estimates[p.id] for p in graph.inputs_of(operator))
-            out_card = estimates[operator.id]
-            dp[operator.id] = {}
-            choice_objects[operator.id] = {}
-            for choice in self._choices_for(operator, platforms):
-                cost = self._operator_cost(choice, in_cards, out_card)
-                for producer in graph.inputs_of(operator):
-                    cost += min(
-                        dp[producer.id][key]
-                        + self.movement.transfer_ms(
-                            choice_objects[producer.id][key].platform.cost_model,
-                            choice.platform.cost_model,
-                            estimates[producer.id],
-                        )
-                        for key in dp[producer.id]
-                    )
-                dp[operator.id][choice.key] = cost
-                choice_objects[operator.id][choice.key] = choice
-
-        # Reverse pass: commit one choice per operator, preferring choices
-        # cheap for the already-committed consumers.
-        assignment: dict[int, Choice] = {}
-        for operator in reversed(order):
-            consumers = graph.consumers_of(operator)
-            best_key = None
-            best_total = float("inf")
-            for key, base_cost in dp[operator.id].items():
-                choice = choice_objects[operator.id][key]
-                total = base_cost
-                for consumer in consumers:
-                    committed = assignment.get(consumer.id)
-                    if committed is not None:
-                        total += self.movement.transfer_ms(
-                            choice.platform.cost_model,
-                            committed.platform.cost_model,
-                            estimates[operator.id],
-                        )
-                if total < best_total:
-                    best_total = total
-                    best_key = key
-            assert best_key is not None  # _choices_for guarantees options
-            assignment[operator.id] = choice_objects[operator.id][best_key]
-        return assignment
-
-    def _assignment_cost(
-        self,
-        plan: PhysicalPlan,
-        assignment: dict[int, Choice],
-        estimates: dict[int, float],
-    ) -> float:
-        """Exact estimated cost of a committed assignment."""
-        graph = plan.graph
-        total = 0.0
-        platforms_used: set[str] = set()
-        for operator in graph.topological_order():
-            choice = assignment[operator.id]
-            platforms_used.add(choice.platform.name)
-            in_cards = tuple(estimates[p.id] for p in graph.inputs_of(operator))
-            total += self._operator_cost(choice, in_cards, estimates[operator.id])
-            for producer in graph.inputs_of(operator):
-                total += self.movement.transfer_ms(
-                    assignment[producer.id].platform.cost_model,
-                    choice.platform.cost_model,
-                    estimates[producer.id],
-                )
-        for name in platforms_used:
-            total += self._platform_by_name(name).cost_model.startup_ms()
-        return total
 
     # ------------------------------------------------------------------
     # variant substitution
@@ -723,3 +620,139 @@ class MultiPlatformOptimizer:
             if not progressed:
                 raise OptimizationError("task-atom graph contains a cycle")
         return order
+
+
+class _AssignmentTable:
+    """The subset-independent inputs of the assignment search for one plan.
+
+    Which platform subset the enumerator is trying changes none of: the
+    topological order and wiring; each operator's (variant, platform)
+    choices over the roster; the cost of running an operator under a
+    choice (a whole loop for ``PRepeat``, which re-estimates its body);
+    or the cost of moving a producer's output between two platforms.
+    The table holds the first two and memoises the last two on first
+    use, so every subset's DP filters and looks up instead of
+    recomputing, and one costing path serves the search, the forced
+    assignment and the reported cost.
+    """
+
+    def __init__(
+        self,
+        optimizer: MultiPlatformOptimizer,
+        plan: PhysicalPlan,
+        estimates: dict[int, float],
+        roster: "list[Platform]",
+    ):
+        graph = plan.graph
+        self.roster = roster
+        self.order = graph.topological_order()
+        self._optimizer = optimizer
+        self._estimates = estimates
+        self._inputs = {op.id: graph.inputs_of(op) for op in self.order}
+        self._consumers = {op.id: graph.consumers_of(op) for op in self.order}
+        self._choices = {
+            op.id: [
+                Choice(variant, platform)
+                for variant in [op] + list(op.alternates)
+                for platform in roster
+                if platform.supports(variant)
+            ]
+            for op in self.order
+        }
+        self._operator_costs: dict[tuple[int, int, str], float] = {}
+        self._transfers: dict[tuple[str, str, int], float] = {}
+
+    def operator_cost(self, operator: PhysicalOperator, choice: Choice) -> float:
+        key = (operator.id, *choice.key)
+        cost = self._operator_costs.get(key)
+        if cost is None:
+            in_cards = tuple(
+                self._estimates[p.id] for p in self._inputs[operator.id]
+            )
+            cost = self._optimizer._operator_cost(
+                choice, in_cards, self._estimates[operator.id]
+            )
+            self._operator_costs[key] = cost
+        return cost
+
+    def transfer(
+        self,
+        producer: PhysicalOperator,
+        source: "Platform",
+        target: "Platform",
+    ) -> float:
+        key = (source.name, target.name, producer.id)
+        cost = self._transfers.get(key)
+        if cost is None:
+            cost = self._optimizer.movement.transfer_ms(
+                source.cost_model, target.cost_model, self._estimates[producer.id]
+            )
+            self._transfers[key] = cost
+        return cost
+
+    def assign(self, platforms: "list[Platform]") -> dict[int, Choice]:
+        """The DP's assignment when only ``platforms`` may be used."""
+        names = {p.name for p in platforms}
+        # Forward DP: cheapest way to have each operator's output available
+        # under each choice.
+        dp: dict[int, list[tuple[Choice, float]]] = {}
+        for operator in self.order:
+            options = [
+                c for c in self._choices[operator.id] if c.platform.name in names
+            ]
+            if not options:
+                raise OptimizationError(
+                    f"no platform supports {operator.describe()} "
+                    f"(or any of its variants)"
+                )
+            entries: list[tuple[Choice, float]] = []
+            for choice in options:
+                cost = self.operator_cost(operator, choice)
+                for producer in self._inputs[operator.id]:
+                    cost += min(
+                        made_cost
+                        + self.transfer(producer, made.platform, choice.platform)
+                        for made, made_cost in dp[producer.id]
+                    )
+                entries.append((choice, cost))
+            dp[operator.id] = entries
+
+        # Reverse pass: commit one choice per operator, preferring choices
+        # cheap for the already-committed consumers.
+        assignment: dict[int, Choice] = {}
+        for operator in reversed(self.order):
+            consumers = self._consumers[operator.id]
+            best: Choice | None = None
+            best_total = float("inf")
+            for choice, total in dp[operator.id]:
+                for consumer in consumers:
+                    total += self.transfer(
+                        operator, choice.platform, assignment[consumer.id].platform
+                    )
+                if total < best_total:
+                    best_total = total
+                    best = choice
+            assert best is not None  # infeasible operators raised above
+            assignment[operator.id] = best
+        return assignment
+
+    def cost(self, assignment: dict[int, Choice]) -> float:
+        """Exact estimated cost of a committed assignment.
+
+        Start-ups are summed in roster order, so the figure never depends
+        on string-hash order.
+        """
+        total = 0.0
+        used: set[str] = set()
+        for operator in self.order:
+            choice = assignment[operator.id]
+            used.add(choice.platform.name)
+            total += self.operator_cost(operator, choice)
+            for producer in self._inputs[operator.id]:
+                total += self.transfer(
+                    producer, assignment[producer.id].platform, choice.platform
+                )
+        for platform in self._optimizer.platforms:
+            if platform.name in used:
+                total += platform.cost_model.startup_ms()
+        return total

@@ -1,6 +1,12 @@
 """Unit tests for the shared operator-DAG machinery."""
 
+import sys
+import threading
+import time
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.dag import OperatorGraph, OperatorNode, walk_down
 from repro.errors import PlanError, ValidationError
@@ -195,3 +201,191 @@ def test_explain_lists_all_operators():
     graph = chain(src, op)
     text = graph.explain()
     assert f"#{src.id}" in text and f"#{op.id}" in text
+
+
+# ----------------------------------------------------------------------
+# cached views against the quadratic reference
+# ----------------------------------------------------------------------
+def reference_consumers(graph, operator):
+    """Every operator reading ``operator``, by a scan of the whole graph."""
+    return tuple(op for op in graph.operators if operator in graph.inputs_of(op))
+
+
+def reference_order(graph):
+    """FIFO topological order, rescanning every operator per pop."""
+    operators = graph.operators
+    in_degree = {op.id: len(graph.inputs_of(op)) for op in operators}
+    ready = [op for op in operators if in_degree[op.id] == 0]
+    order = []
+    while ready:
+        current = ready.pop(0)
+        order.append(current)
+        for consumer in operators:
+            slots = graph.inputs_of(consumer)
+            if current in slots:
+                in_degree[consumer.id] -= slots.count(current)
+                if in_degree[consumer.id] == 0:
+                    ready.append(consumer)
+    if len(order) != len(operators):
+        raise PlanError("plan wiring contains a cycle")
+    return order
+
+
+def assert_views_match_reference(graph):
+    assert graph.topological_order() == reference_order(graph)
+    for op in graph.operators:
+        assert graph.consumers_of(op) == reference_consumers(graph, op)
+
+
+def descendants(graph, start):
+    seen = set()
+    walk_down(graph, start, lambda op: seen.add(op.id))
+    return seen
+
+
+def add_random(graph, data):
+    ops = list(graph.operators)
+    kind = data.draw(st.sampled_from([Src, Unary, Binary])) if ops else Src
+    node = kind()
+    if kind is Binary and data.draw(st.booleans()):
+        producer = data.draw(st.sampled_from(ops))
+        inputs = [producer, producer]  # one producer fed twice
+    else:
+        inputs = [data.draw(st.sampled_from(ops)) for _ in range(kind.num_inputs)]
+    graph.add(node, inputs)
+
+
+def random_graph(data, max_size):
+    graph = OperatorGraph()
+    for _ in range(data.draw(st.integers(1, max_size))):
+        add_random(graph, data)
+    return graph
+
+
+def edges(graph):
+    return [
+        (producer, consumer)
+        for consumer in graph.operators
+        for producer in graph.inputs_of(consumer)
+    ]
+
+
+def surgery_insert_between(graph, data):
+    wiring = edges(graph)
+    if wiring:
+        producer, consumer = data.draw(st.sampled_from(wiring))
+        graph.insert_between(producer, consumer, Unary())
+
+
+def surgery_remove_unary(graph, data):
+    unary = [op for op in graph.operators if op.num_inputs == 1]
+    if unary:
+        graph.remove_unary(data.draw(st.sampled_from(unary)))
+
+
+def surgery_replace_node(graph, data):
+    old = data.draw(st.sampled_from(graph.operators))
+    graph.replace_node(old, type(old)())
+
+
+def surgery_replace_input(graph, data):
+    wiring = edges(graph)
+    if not wiring:
+        return
+    old, consumer = data.draw(st.sampled_from(wiring))
+    below = descendants(graph, consumer)
+    allowed = [op for op in graph.operators if op.id not in below]
+    graph.replace_input(consumer, old, data.draw(st.sampled_from(allowed)))
+
+
+def surgery_absorb(graph, data):
+    graph.absorb(random_graph(data, 4))
+
+
+def surgery_remove_isolated(graph, data):
+    isolated = [
+        op for op in graph.sources if not reference_consumers(graph, op)
+    ]
+    if isolated and len(graph) > 1:
+        graph.remove_isolated(data.draw(st.sampled_from(isolated)))
+    else:
+        graph.add(Src())
+
+
+SURGERIES = [
+    add_random,
+    surgery_insert_between,
+    surgery_remove_unary,
+    surgery_replace_node,
+    surgery_replace_input,
+    surgery_absorb,
+    surgery_remove_isolated,
+]
+
+
+class TestCachedViews:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_views_match_reference_after_every_surgery(self, data):
+        graph = random_graph(data, 8)
+        assert_views_match_reference(graph)
+        for surgery in data.draw(st.lists(st.sampled_from(SURGERIES), max_size=12)):
+            surgery(graph, data)
+            assert_views_match_reference(graph)
+
+    def test_order_is_a_fresh_list(self):
+        src, op = Src(), Unary()
+        graph = chain(src, op)
+        graph.topological_order().reverse()
+        assert graph.topological_order() == [src, op]
+
+    def test_long_chain_is_linear(self):
+        nodes = [Src()] + [Unary() for _ in range(19_999)]
+        graph = chain(*nodes)
+        started = time.perf_counter()
+        assert graph.topological_order() == nodes
+        for node in nodes:
+            graph.consumers_of(node)
+        assert time.perf_counter() - started < 2.0
+
+    def test_threads_racing_the_first_build_agree(self):
+        # A cached execution plan is replayed for several tenants at once,
+        # so threads race the first build of one graph's views.
+        nodes = [Src()] + [Unary() for _ in range(1_999)]
+        graph = chain(*nodes)
+        graph.add(Binary(), [nodes[500], nodes[500]])
+        expected = reference_order(graph)
+        threads_n = 16
+        barrier = threading.Barrier(threads_n, timeout=30)
+        seen = []
+
+        def race(index):
+            barrier.wait()
+            for _ in range(20):
+                if index % 2:  # half the threads start from the index
+                    consumers = [graph.consumers_of(op) for op in nodes]
+                    order = graph.topological_order()
+                else:
+                    order = graph.topological_order()
+                    consumers = [graph.consumers_of(op) for op in nodes]
+                seen.append((order, consumers))
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=race, args=(index,), daemon=True)
+                for index in range(threads_n)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(seen) == threads_n * 20
+        expected_consumers = [reference_consumers(graph, op) for op in nodes]
+        for order, consumers in seen:
+            assert order == expected
+            assert consumers == expected_consumers
