@@ -18,12 +18,6 @@ Commands:
       python -m repro explain --table employees=people.csv \\
           "SELECT dept, COUNT(*) AS n FROM employees GROUP BY dept"
 
-* ``trace-diff`` — align two JSONL span logs (``--trace-out x.jsonl``)
-  and report per-layer virtual-time deltas, added/removed movement
-  hops, and flipped enumerator candidate orderings::
-
-      python -m repro trace-diff before.jsonl after.jsonl
-
 * ``serve`` — the multi-tenant serving daemon: ``POST /submit`` runs a
   seeded workload spec for the tenant named by the ``X-Repro-Tenant``
   header (per-tenant sessions, per-tenant metric labels);
@@ -44,15 +38,6 @@ Commands:
       python -m repro calibration show
       python -m repro calibration reset
 
-* ``resume`` — continue a journaled run that crashed mid-plan, rebuilding
-  the workload from the journal header: finished atoms are replayed from
-  the write-ahead journal (and their outputs restored from its payload
-  store), only the missing suffix runs.  The resumed run's BENCH line is
-  byte-identical to an uninterrupted one::
-
-      python -m repro demo --journal runs/ --run-id r1 --crash-at 2
-      python -m repro resume r1 --journal runs/
-
 ``sql`` and ``demo`` accept ``--trace-out FILE`` (Chrome trace-event
 JSON, or JSONL span log when the file ends in ``.jsonl``) and
 ``--flame`` (virtual-time flamegraph on stderr); executing commands
@@ -66,13 +51,18 @@ the run and fold the run's observations back in afterwards; the store
 defaults to ``$REPRO_CALIBRATION_STORE`` or ``.repro-calibration.json``).
 
 ``demo`` additionally accepts the fault-tolerance flags: ``--journal
-DIR`` (durable write-ahead journal + atom output payloads under DIR;
-running again with the same DIR and run id resumes, or replays a
-completed run),
+DIR`` (durable write-ahead journal + atom output payloads under DIR),
 ``--run-id ID``, ``--deadline-ms MS`` (per-atom wall budget; an overrun
 is charged to the ledger and escalated like a platform failure), and the
 chaos switches ``--crash-at N`` / ``--crash-mode {before,after,torn}``
-(hard-abort the process around journal commit N; exit code 3).
+(hard-abort the process around journal commit N; exit code 3).  Running
+again with the same DIR and run id resumes a crashed run — finished
+atoms are replayed from the journal, only the missing suffix runs, and
+the BENCH line is byte-identical to an uninterrupted one — or replays a
+completed run::
+
+      python -m repro demo --journal runs/ --run-id r1 --crash-at 2
+      python -m repro demo --journal runs/ --run-id r1
 """
 
 from __future__ import annotations
@@ -171,7 +161,7 @@ def _add_journal_flags(subparser: argparse.ArgumentParser) -> None:
         help=(
             "record a durable write-ahead run journal and atom output "
             "payloads under DIR; a run over the same DIR and run id "
-            "resumes it (as does 'repro resume')"
+            "resumes it"
         ),
     )
     subparser.add_argument(
@@ -258,20 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_calibrate_flag(demo)
     _add_journal_flags(demo)
 
-    resume = commands.add_parser(
-        "resume",
-        help="continue a journaled run that crashed mid-plan",
-    )
-    resume.add_argument("run_id", help="run id of the journal to resume")
-    resume.add_argument(
-        "--journal",
-        required=True,
-        metavar="DIR",
-        help="directory holding the run's journal and payload store",
-    )
-    _add_parallelism_flag(resume)
-    _add_execution_mode_flag(resume)
-
     sql = commands.add_parser("sql", help="run a SQL query over CSV tables")
     sql.add_argument("query", help="the SELECT statement")
     sql.add_argument(
@@ -333,22 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
                 f"or {DEFAULT_CALIBRATION_STORE})"
             ),
         )
-
-    trace_diff = commands.add_parser(
-        "trace-diff",
-        help="align two JSONL span logs and report what changed "
-        "(per-layer virtual-time deltas, movement hops, candidate flips)",
-    )
-    trace_diff.add_argument("trace_a", help="baseline trace (.jsonl)")
-    trace_diff.add_argument("trace_b", help="comparison trace (.jsonl)")
-    trace_diff.add_argument(
-        "--top",
-        type=int,
-        default=10,
-        metavar="N",
-        help="how many per-span moves / unmatched spans to list "
-        "(default: 10)",
-    )
 
     serve_daemon = commands.add_parser(
         "serve",
@@ -508,7 +468,7 @@ def command_demo(ctx: RheemContext, args=None) -> int:
 
 
 # ----------------------------------------------------------------------
-# journaled execution: demo --journal and the resume command
+# journaled execution: demo --journal (a rerun resumes)
 # ----------------------------------------------------------------------
 def _demo_execution(ctx: RheemContext):
     """The journaled variant of the demo: word-count with a decay tail.
@@ -529,49 +489,7 @@ def _demo_execution(ctx: RheemContext):
     return ctx.task_optimizer.optimize(physical)
 
 
-def _journaled_runtime(
-    rundir: str,
-    run_id: str,
-    *,
-    crash_at: int | None = None,
-    crash_mode: str = "after",
-    workload: dict | None = None,
-):
-    """A RuntimeContext wired for durability under ``rundir``.
-
-    The write-ahead journal goes to ``rundir/<run_id>.journal``, its
-    payload store to a LocalFsStore at ``rundir/ckpt`` (namespaced by
-    the run id).  Returns ``(runtime, journal)``; the caller owns
-    closing the journal.
-    """
-    from repro.core.checkpoint import CheckpointManager
-    from repro.core.recovery import CrashInjector, RunJournal
-    from repro.core.runtime import RuntimeContext
-    from repro.storage import Catalog, LocalFsStore
-
-    os.makedirs(rundir, exist_ok=True)
-    catalog = Catalog()
-    catalog.register_store(
-        LocalFsStore(root=os.path.join(rundir, "ckpt"))
-    )
-    journal = RunJournal(
-        os.path.join(rundir, f"{run_id}.journal"),
-        run_id=run_id,
-        workload=workload,
-        store=CheckpointManager(catalog, "localfs", plan_key=run_id),
-    )
-    runtime = RuntimeContext(
-        journal=journal,
-        crash_injector=(
-            CrashInjector(crash_at, mode=crash_mode)
-            if crash_at is not None
-            else None
-        ),
-    )
-    return runtime, journal
-
-
-def _print_bench(result, execution) -> None:
+def _print_bench(result) -> None:
     """One grep-able line fully determined by the (virtual) execution.
 
     ``digest`` fingerprints the result payload, ``virtual`` is the exact
@@ -594,15 +512,35 @@ def _print_bench(result, execution) -> None:
 
 
 def _journaled_demo(ctx: RheemContext, args) -> int:
-    from repro.core.recovery import SimulatedCrash
+    """The demo under a durable journal; a rerun over it resumes.
+
+    The write-ahead journal goes to ``DIR/<run-id>.journal``, its
+    payload store to a LocalFsStore at ``DIR/ckpt`` (namespaced by the
+    run id).
+    """
+    from repro.core.checkpoint import CheckpointManager
+    from repro.core.recovery import CrashInjector, RunJournal, SimulatedCrash
+    from repro.core.runtime import RuntimeContext
+    from repro.storage import Catalog, LocalFsStore
 
     execution = _demo_execution(ctx)
-    runtime, journal = _journaled_runtime(
-        args.journal,
-        args.run_id,
-        crash_at=args.crash_at,
-        crash_mode=args.crash_mode,
-        workload={"kind": "demo"},
+    os.makedirs(args.journal, exist_ok=True)
+    catalog = Catalog()
+    catalog.register_store(
+        LocalFsStore(root=os.path.join(args.journal, "ckpt"))
+    )
+    journal = RunJournal(
+        os.path.join(args.journal, f"{args.run_id}.journal"),
+        run_id=args.run_id,
+        store=CheckpointManager(catalog, "localfs", plan_key=args.run_id),
+    )
+    runtime = RuntimeContext(
+        journal=journal,
+        crash_injector=(
+            CrashInjector(args.crash_at, mode=args.crash_mode)
+            if args.crash_at is not None
+            else None
+        ),
     )
     try:
         result = ctx.executor.execute(execution, runtime)
@@ -610,7 +548,7 @@ def _journaled_demo(ctx: RheemContext, args) -> int:
         print(
             f"simulated crash around journal commit {args.crash_at} "
             f"(mode={args.crash_mode}); continue with: "
-            f"repro resume {args.run_id} --journal {args.journal}",
+            f"repro demo --journal {args.journal} --run-id {args.run_id}",
             file=sys.stderr,
         )
         return 3
@@ -618,57 +556,14 @@ def _journaled_demo(ctx: RheemContext, args) -> int:
         journal.close()
     metrics = result.metrics
     if metrics.resumes:
+        torn = journal.torn_truncations
+        torn_note = f", {torn} torn record(s) discarded" if torn else ""
         print(
             f"[resume] {int(metrics.atoms_restored)} atom(s) replayed "
-            "from the journal",
+            f"from the journal{torn_note}",
             file=sys.stderr,
         )
-    _print_bench(result, execution)
-    return 0
-
-
-def command_resume(args) -> int:
-    from repro.core.recovery import RunJournal
-
-    path = os.path.join(args.journal, f"{args.run_id}.journal")
-    if not os.path.exists(path):
-        raise SystemExit(
-            f"no journal for run {args.run_id!r} under {args.journal}"
-        )
-    header, _records, torn = RunJournal(path).load()
-    if header is None:
-        raise SystemExit(
-            f"{path}: journal header unreadable; cannot resume"
-        )
-    workload = (header.get("workload") or {}).get("kind")
-    if workload != "demo":
-        raise SystemExit(
-            f"{path}: workload {workload!r} cannot be rebuilt; "
-            "only 'demo' journals are resumable from the CLI"
-        )
-    ctx = RheemContext(
-        parallelism=args.parallelism or header.get("parallelism") or None,
-        execution_mode=(
-            args.execution_mode or header.get("execution_mode") or None
-        ),
-    )
-    execution = _demo_execution(ctx)
-    runtime, journal = _journaled_runtime(
-        args.journal, args.run_id, workload={"kind": workload}
-    )
-    try:
-        result = ctx.executor.execute(execution, runtime)
-    finally:
-        journal.close()
-    metrics = result.metrics
-    restored = int(metrics.atoms_restored)
-    torn_note = f", {torn} torn record(s) discarded" if torn else ""
-    print(
-        f"[resume] run {args.run_id!r}: {restored} atom(s) replayed "
-        f"from the journal{torn_note}",
-        file=sys.stderr,
-    )
-    _print_bench(result, execution)
+    _print_bench(result)
     return 0
 
 
@@ -1020,17 +915,6 @@ def command_calibration(args) -> int:
     return 0
 
 
-def command_trace_diff(args) -> int:
-    from repro.core.observability import diff_files
-    from repro.errors import ValidationError
-
-    try:
-        print(diff_files(args.trace_a, args.trace_b, top=args.top))
-    except (OSError, ValidationError) as error:
-        raise SystemExit(str(error)) from error
-    return 0
-
-
 def command_serve(args) -> int:
     """``repro serve``: the multi-tenant serving daemon."""
     import signal
@@ -1071,12 +955,8 @@ def command_serve(args) -> int:
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
-    if args.command == "trace-diff":
-        return command_trace_diff(args)
     if args.command == "calibration":
         return command_calibration(args)
-    if args.command == "resume":
-        return command_resume(args)
     if args.command == "serve":
         return command_serve(args)
 

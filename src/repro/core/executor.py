@@ -481,13 +481,7 @@ class Executor:
                     return replayed
             else:
                 journal.store.clear()
-        journal.begin(
-            journal.header(
-                fingerprint=fingerprint, epoch=epoch,
-                parallelism=self.parallelism,
-                execution_mode=self.execution_mode,
-            )
-        )
+        journal.begin(journal.header(fingerprint=fingerprint, epoch=epoch))
         return 0
 
     def _replay_journal(

@@ -17,8 +17,7 @@ Public surface:
   scheduler queue wait, channel payload bytes — charged as span attrs
   and registry histograms;
 * :func:`set_build_info` — the ``repro_run_info`` gauge (git sha +
-  config epoch) that ``repro serve`` stamps on its ``/metrics``;
-* :func:`diff_traces` — align two JSONL span logs (``repro trace-diff``).
+  config epoch) that ``repro serve`` stamps on its ``/metrics``.
 
 Attach a tracer via ``RheemContext(tracer=...)`` (or
 ``ctx.attach_tracer``); with no tracer attached nothing here is touched
@@ -26,13 +25,6 @@ Attach a tracer via ``RheemContext(tracer=...)`` (or
 opt-in: unprofiled runs allocate no probes and never start tracemalloc.
 """
 
-from repro.core.observability.diff import (
-    TraceDiff,
-    diff_files,
-    diff_traces,
-    load_records,
-    render_diff,
-)
 from repro.core.observability.export import (
     prometheus_text,
     span_records,
@@ -40,7 +32,6 @@ from repro.core.observability.export import (
     to_jsonl,
     write_chrome_trace,
     write_jsonl,
-    write_prometheus,
 )
 from repro.core.observability.flame import render_flamegraph
 from repro.core.observability.registry import (
@@ -90,14 +81,9 @@ __all__ = [
     "ResourceProfiler",
     "Span",
     "SpanEvent",
-    "TraceDiff",
     "Tracer",
-    "diff_files",
-    "diff_traces",
-    "load_records",
     "maybe_span",
     "profiling_enabled",
-    "render_diff",
     "prometheus_text",
     "set_build_info",
     "render_flamegraph",
@@ -107,5 +93,4 @@ __all__ = [
     "to_jsonl",
     "write_chrome_trace",
     "write_jsonl",
-    "write_prometheus",
 ]

@@ -197,11 +197,14 @@ def _prom_labels(key: tuple[tuple[str, str], ...], extra: str = "") -> str:
     return "{" + ",".join(parts) + "}" if parts else ""
 
 
-def prometheus_text(registry: MetricsRegistry, prefix: str = "repro_") -> str:
-    """Render a registry in Prometheus text exposition format."""
+def prometheus_text(registry: MetricsRegistry) -> str:
+    """Render a registry in Prometheus text exposition format.
+
+    Every metric name carries the ``repro_`` prefix.
+    """
     lines: list[str] = []
     for instrument in registry.instruments():
-        name = prefix + _prom_name(instrument.name)
+        name = "repro_" + _prom_name(instrument.name)
         if instrument.help:
             lines.append(f"# HELP {name} {instrument.help}")
         lines.append(f"# TYPE {name} {instrument.kind}")
@@ -223,8 +226,3 @@ def prometheus_text(registry: MetricsRegistry, prefix: str = "repro_") -> str:
                 lines.append(f"{name}{_prom_labels(key)} {value}")
     return "\n".join(lines) + "\n"
 
-
-def write_prometheus(registry: MetricsRegistry, path: str,
-                     prefix: str = "repro_") -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(prometheus_text(registry, prefix))

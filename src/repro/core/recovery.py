@@ -173,16 +173,12 @@ class RunJournal:
         self,
         path: str,
         run_id: str | None = None,
-        workload: dict[str, Any] | None = None,
         store: Any | None = None,
     ):
         self.path = str(path)
         self.store = store
         base = os.path.splitext(os.path.basename(self.path))[0]
         self.run_id = run_id or base or "run"
-        #: optional workload descriptor stored in the header so the CLI
-        #: can rebuild the plan for ``repro resume`` (e.g. {"kind": "demo"})
-        self.workload = dict(workload) if workload else None
         self._fh = None
         #: records appended (or kept by reset_to) since begin/reset
         self.records_written = 0
@@ -190,33 +186,19 @@ class RunJournal:
         self.torn_truncations = 0
 
     # ------------------------------------------------------------------
-    def header(
-        self,
-        *,
-        fingerprint: str,
-        epoch: str,
-        parallelism: int = 1,
-        execution_mode: str = "thread",
-    ) -> dict[str, Any]:
+    def header(self, *, fingerprint: str, epoch: str) -> dict[str, Any]:
         """The header record for a fresh journal of this run.
 
-        ``parallelism`` and ``execution_mode`` are informational — both
-        are excluded from the epoch, so resume never compares them:
-        a journal may be resumed at any parallelism and under either
-        worker backend.
+        Resume compares only ``fingerprint`` and ``epoch``; any other
+        key a stored header carries is ignored.
         """
-        record: dict[str, Any] = {
+        return {
             "t": "header",
             "version": JOURNAL_VERSION,
             "run_id": self.run_id,
             "fingerprint": fingerprint,
             "epoch": epoch,
-            "parallelism": parallelism,
-            "execution_mode": execution_mode,
         }
-        if self.workload:
-            record["workload"] = self.workload
-        return record
 
     def begin(self, header: dict[str, Any]) -> None:
         """Start a fresh journal containing only ``header`` (atomic)."""

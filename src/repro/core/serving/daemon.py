@@ -125,7 +125,7 @@ class _Handler(BaseHTTPRequestHandler):
         if path == "/healthz":
             self._reply(200, b"ok\n", "text/plain; charset=utf-8")
         elif path == "/metrics":
-            body = prometheus_text(daemon.registry, "repro_").encode("utf-8")
+            body = prometheus_text(daemon.registry).encode("utf-8")
             self._reply(200, body,
                         "text/plain; version=0.0.4; charset=utf-8")
         elif path.startswith("/status/"):

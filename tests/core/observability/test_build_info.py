@@ -22,7 +22,7 @@ from repro.core.serving import ServingDaemon
 def _run_info_lines(registry: MetricsRegistry) -> list[str]:
     return [
         line
-        for line in prometheus_text(registry, "repro_").splitlines()
+        for line in prometheus_text(registry).splitlines()
         if line.startswith("repro_run_info{")
     ]
 

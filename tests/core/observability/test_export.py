@@ -16,7 +16,6 @@ from repro.core.observability import (
     to_jsonl,
     write_chrome_trace,
     write_jsonl,
-    write_prometheus,
 )
 
 
@@ -140,13 +139,6 @@ class TestPrometheus:
         registry.counter("enumerator.candidates").inc()
         text = prometheus_text(registry)
         assert "repro_enumerator_candidates 1.0" in text
-
-    def test_write_prometheus(self, tmp_path):
-        registry = MetricsRegistry()
-        registry.counter("x").inc()
-        path = tmp_path / "metrics.prom"
-        write_prometheus(registry, str(path))
-        assert "repro_x 1.0" in path.read_text()
 
 
 class TestFlamegraph:

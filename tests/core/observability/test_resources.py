@@ -39,8 +39,6 @@ from repro.core.observability import (
     BYTE_BUCKETS,
     MetricsRegistry,
     ResourceProfiler,
-    diff_traces,
-    render_diff,
     render_flamegraph,
     resource_summary,
 )
@@ -490,34 +488,3 @@ class TestResourceHistograms:
         assert hist.count(platform="java") == 1
         # sub-ms resolution survived the merge (first real-ms bucket)
         assert hist.quantile(0.5, platform="java") <= REAL_MS_BUCKETS[1]
-
-
-# ----------------------------------------------------------------------
-# trace-diff surfaces per-layer resource deltas
-# ----------------------------------------------------------------------
-class TestDiffResourceDeltas:
-    @staticmethod
-    def _span(name, kind="task", **attributes):
-        return {
-            "name": name,
-            "kind": kind,
-            "v_ms": 1.0,
-            "v_self_ms": 1.0,
-            "attributes": attributes,
-        }
-
-    def test_profiled_traces_render_resource_section(self):
-        a = [self._span("atom#1", cpu_ms=2.0, channel_bytes=100)]
-        b = [self._span("atom#1", cpu_ms=5.0, channel_bytes=100)]
-        diff = diff_traces(a, b)
-        assert diff.resource_totals_a["cpu_ms"]["task"] == 2.0
-        assert diff.resource_totals_b["cpu_ms"]["task"] == 5.0
-        rendered = render_diff(diff)
-        assert "per-layer resources" in rendered
-        assert "cpu_ms" in rendered
-
-    def test_unprofiled_traces_render_no_resource_section(self):
-        a = [self._span("atom#1")]
-        b = [self._span("atom#1")]
-        rendered = render_diff(diff_traces(a, b))
-        assert "per-layer resources" not in rendered

@@ -320,6 +320,12 @@ class TestStalenessGuard:
 
     def test_matching_fingerprint_keeps_saves(self, manager, tmp_path):
         assert self._run_over_header(manager, tmp_path) is True
+        # Headers written before the informational keys were dropped
+        # carry them still; only fingerprint and epoch are compared.
+        assert self._run_over_header(
+            manager, tmp_path, parallelism=4, execution_mode="process",
+            workload={"kind": "demo"},
+        ) is True
 
     def test_mismatch_clears_stale_saves(self, manager, tmp_path):
         assert self._run_over_header(

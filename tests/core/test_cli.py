@@ -229,3 +229,61 @@ class TestParallelismFlag:
         ])
         assert code == 0
         assert "eng" in capsys.readouterr().out
+
+
+class TestJournaledRerun:
+    """``demo --journal`` is the one way to continue a crashed run: the
+    rerun over the same directory and run id resumes it."""
+
+    @staticmethod
+    def _bench(text):
+        return [line for line in text.splitlines() if line.startswith("BENCH ")]
+
+    def _demo(self, capsys, journal, *extra):
+        code = main(["demo", "--journal", str(journal), "--run-id", "c", *extra])
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    @pytest.mark.parametrize("parallelism", ["1", "4"])
+    @pytest.mark.parametrize("crash_at", ["0", "1", "2"])
+    def test_crash_then_rerun_prints_reference_bench(
+        self, capsys, tmp_path, crash_at, parallelism
+    ):
+        width = ("--parallelism", parallelism)
+        code, reference, _ = self._demo(capsys, tmp_path / "ref", *width)
+        assert code == 0
+        code, _, err = self._demo(
+            capsys, tmp_path / "run", *width, "--crash-at", crash_at
+        )
+        assert code == 3
+        assert (
+            f"continue with: repro demo --journal {tmp_path / 'run'} "
+            "--run-id c" in err
+        )
+        code, resumed, err = self._demo(capsys, tmp_path / "run", *width)
+        assert code == 0
+        assert "atom(s) replayed from the journal" in err
+        assert self._bench(resumed) == self._bench(reference)
+        assert len(self._bench(resumed)) == 1
+
+    def test_torn_tail_is_reported_on_the_resume_line(self, capsys, tmp_path):
+        code, reference, _ = self._demo(capsys, tmp_path / "ref")
+        assert code == 0
+        code, _, _ = self._demo(
+            capsys, tmp_path / "run", "--crash-at", "1", "--crash-mode", "torn"
+        )
+        assert code == 3
+        code, resumed, err = self._demo(capsys, tmp_path / "run")
+        assert code == 0
+        assert (
+            "[resume] 2 atom(s) replayed from the journal, "
+            "1 torn record(s) discarded" in err
+        )
+        assert self._bench(resumed) == self._bench(reference)
+
+    @pytest.mark.parametrize("command", ["resume", "trace-diff"])
+    def test_deleted_commands_are_invalid_choices(self, capsys, command):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "x"])
+        assert exit_info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err

@@ -18,8 +18,7 @@ hop.  These tests pin its contract:
   (``profile_datapath``) and predicts per-boundary row-vs-columnar wall
   cost; ``repro explain`` renders the per-boundary decision;
 * ledger/epoch plumbing: zero-ms ``columnar.elide`` entries, a
-  ``columnar_native`` config-epoch component, and trace-diff alignment
-  between native and egest runs of the same plan.
+  ``columnar_native`` config-epoch component.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ from repro import RheemContext, Tracer
 from repro.core.channels import ColumnarChannel
 from repro.core.physical import kernels
 from repro.core.physical.columnar import (
-    ColumnarBatch,
     ColumnPredicate,
     ColumnwiseReduce,
     analyze_boundaries,
@@ -650,42 +648,3 @@ class TestNativeConfig:
 
     def test_env_default_is_on_with_columnar(self):
         assert RheemContext(columnar=True).executor.columnar_native is True
-
-
-# ----------------------------------------------------------------------
-# trace-diff: native and egest traces of one plan must align
-# ----------------------------------------------------------------------
-class TestTraceDiffAlignment:
-    @staticmethod
-    def _trace(columnar_native):
-        tracer = Tracer()
-        ctx = RheemContext(
-            columnar=True, columnar_native=columnar_native, tracer=tracer
-        )
-        out = (
-            ctx.collection(list(ROWS))
-            .repeat(
-                2,
-                lambda d: d.filter(ColumnPredicate(0, (6).__gt__)).map(
-                    itemgetter(3, 1, 2, 0)
-                ),
-            )
-            .collect(platform="java")
-        )
-        assert out
-        return tracer
-
-    def test_elision_attrs_do_not_break_alignment(self):
-        from repro.core.observability import diff_traces
-        from repro.core.observability.export import span_records
-
-        native = span_records(self._trace(True))
-        egest = span_records(self._trace(False))
-        # the native trace genuinely differs (elisions + columnar notes)
-        assert any(
-            r.get("attributes", {}).get("columnar_elided") for r in native
-        )
-        diff = diff_traces(egest, native)
-        assert diff.only_in_a == []
-        assert diff.only_in_b == []
-        assert diff.matched

@@ -597,18 +597,6 @@ class TestChaosParity:
         )
         harness.assert_identical(reference, result, tracer)
 
-    def test_header_records_execution_mode(self, tmp_path):
-        harness = ChaosHarness(tmp_path)
-        with pytest.raises(SimulatedCrash):
-            harness.run(
-                tmp_path / "hdr", "process", crash_at=0, crash_mode="after"
-            )
-        header, _records, _torn = RunJournal(
-            os.path.join(tmp_path, "hdr", "run.journal")
-        ).load()
-        assert header["execution_mode"] == "process"
-        assert header["parallelism"] == 4
-
 
 class TestSegmentHygiene:
     def test_plain_columnar_run_leaves_nothing(self):
@@ -692,10 +680,6 @@ class TestExecutionModeConfig:
             ["demo", "--execution-mode", "process"]
         )
         assert args.execution_mode == "process"
-        args = build_parser().parse_args(
-            ["resume", "r1", "--journal", "runs"]
-        )
-        assert args.execution_mode is None
 
     def test_sequential_parallelism_ignores_mode(self):
         """parallelism=1 never builds a pool of either kind."""

@@ -58,7 +58,7 @@ class TestRunJournal:
 
     def test_begin_append_load_roundtrip(self, tmp_path):
         journal = self._journal(tmp_path, run_id="r1")
-        header = journal.header(fingerprint="fp", epoch="ep", parallelism=2)
+        header = journal.header(fingerprint="fp", epoch="ep")
         journal.begin(header)
         journal.append({"t": "atom", "index": 0})
         journal.append({"t": "atom", "index": 1})
@@ -169,11 +169,6 @@ class TestRunJournal:
             journal.reset_to(header, [{"t": "atom", "index": 0}])
         journal.close()
         assert synced_dirs == [True]
-
-    def test_workload_in_header(self, tmp_path):
-        journal = self._journal(tmp_path, workload={"kind": "demo"})
-        header = journal.header(fingerprint="fp", epoch="ep")
-        assert header["workload"] == {"kind": "demo"}
 
 
 # ----------------------------------------------------------------------
