@@ -213,17 +213,21 @@ def _calibration_store_path(explicit: str | None = None) -> str:
 
 
 def _open_calibration_store(path: str):
-    """Load the store snapshot at ``path``, or start a fresh one."""
+    """Load the store snapshot at ``path``, or start a fresh one; either
+    way the store records ``path`` (its journal epoch digests it)."""
     from repro.core.optimizer.calibration import CalibrationStore
 
     if os.path.exists(path):
         try:
-            return CalibrationStore.load_json(path)
+            store = CalibrationStore.load_json(path)
         except (OSError, ValueError, KeyError) as error:
             raise SystemExit(
                 f"calibration store {path}: cannot load ({error})"
             ) from error
-    return CalibrationStore()
+    else:
+        store = CalibrationStore()
+    store.path = path
+    return store
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -132,11 +132,9 @@ class Executor:
         self,
         movement: MovementCostModel | None = None,
         max_retries: int = 2,
-        listeners: list[ExecutionListener] | None = None,
         backoff: BackoffPolicy | None = None,
         task_optimizer: "MultiPlatformOptimizer | None" = None,
         failover: bool = False,
-        max_failovers: int | None = None,
         parallelism: int | None = None,
         execution_mode: str | None = None,
         columnar: bool | None = None,
@@ -147,14 +145,13 @@ class Executor:
     ):
         self.movement = movement or MovementCostModel()
         self.max_retries = max_retries
-        self.listeners: list[ExecutionListener] = list(listeners or [])
+        self.listeners: list[ExecutionListener] = []
         self.backoff = backoff or BackoffPolicy()
         #: multi-platform optimizer used to re-plan suffixes on failover
         self.task_optimizer = task_optimizer
-        #: whether exhausted atoms may fail over to other platforms
+        #: whether exhausted atoms may fail over to other platforms (at
+        #: most once per platform per execution)
         self.failover = failover
-        #: hard cap on failovers per execution (None: one per platform)
-        self.max_failovers = max_failovers
         #: how many task atoms may run concurrently (1 = sequential).
         #: ``None`` reads ``REPRO_PARALLELISM`` (default 1).  See
         #: :mod:`repro.core.scheduler` for the determinism guarantees.
@@ -417,6 +414,7 @@ class Executor:
             columnar=self.columnar,
             columnar_native=self.columnar_native,
             calibration=self.calibration is not None,
+            store_path=getattr(self.calibration, "path", None),
         )
 
     def _prepare_journal(
@@ -822,12 +820,7 @@ class Executor:
             error=str(failure.cause or failure),
         )
 
-        cap = (
-            self.max_failovers
-            if self.max_failovers is not None
-            else len(self.task_optimizer.platforms)
-        )
-        if metrics.failovers >= cap:
+        if metrics.failovers >= len(self.task_optimizer.platforms):
             raise failure
 
         # Atoms whose outputs are all materialised count as executed; the

@@ -14,7 +14,7 @@ developer who declares which physical operators their engine supports.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Iterator
 
 from repro.core.logical.operators import (
     CollectionSource,
@@ -88,6 +88,12 @@ class OperatorMappings:
         raise MappingError(
             f"no logical->physical mapping registered for {type(logical).__name__}"
         )
+
+    def edges(self) -> Iterator[tuple[type[LogicalOperator], PhysicalFactory]]:
+        """Every ``(logical type, factory)`` pair, default variant first."""
+        for logical_type, factories in self._factories.items():
+            for factory in factories:
+                yield logical_type, factory
 
     def copy(self) -> "OperatorMappings":
         """A shallow copy applications can extend without global effects."""

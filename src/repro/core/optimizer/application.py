@@ -37,11 +37,9 @@ class ApplicationOptimizer:
         self,
         mappings: OperatorMappings | None = None,
         rules: RuleRegistry | None = None,
-        share_scans: bool = True,
     ):
         self.mappings = mappings or default_mappings()
         self.rules = rules or default_rules()
-        self.share_scans = share_scans
 
     def optimize(
         self, plan: LogicalPlan, tracer: "Tracer | None" = None
@@ -62,12 +60,11 @@ class ApplicationOptimizer:
             plan.validate()
             self.rules.run_to_fixpoint(plan)
             physical, _ = self._translate(plan)
-            if self.share_scans:
-                before = len(list(physical.graph.operators))
-                self._share_scans(physical)
-                after = len(list(physical.graph.operators))
-                if span is not None and after != before:
-                    span.set(scans_shared=before - after)
+            before = len(list(physical.graph.operators))
+            self._merge_duplicate_scans(physical)
+            after = len(list(physical.graph.operators))
+            if span is not None and after != before:
+                span.set(scans_shared=before - after)
             physical.validate()
             if span is not None:
                 span.set(
@@ -76,7 +73,7 @@ class ApplicationOptimizer:
             return physical
 
     # ------------------------------------------------------------------
-    def _share_scans(self, physical: PhysicalPlan) -> None:
+    def _merge_duplicate_scans(self, physical: PhysicalPlan) -> None:
         """Merge duplicate scans of the same dataset into one operator.
 
         The paper's §4.2 asks the optimizer to "apply traditional

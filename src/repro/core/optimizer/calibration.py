@@ -88,6 +88,9 @@ class CalibrationStore:
     DEFAULT_MIN_SAMPLES = 1
     #: correction factors are clamped to [1/cap, cap]
     DEFAULT_MAX_CORRECTION = 1e6
+    #: snapshot file the CLI opened this store from (None: built in
+    #: code); the journal ``config_epoch`` digests it
+    path: str | None = None
 
     def __init__(
         self,

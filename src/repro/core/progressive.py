@@ -20,7 +20,7 @@ Mechanics:
   estimates.  The run's misestimate-factor *distribution* drives the
   decision: boundary factors accumulate in a per-round histogram window
   (the same buckets as the ``misestimate_factor`` metric) and a replan
-  fires when the window's **p90 drifts above the configured band** — one
+  fires when the window's **p90 drifts above the drift band** — one
   gross outlier or a broad pattern of moderate misestimates both
   qualify, while a single noisy boundary amid many good ones does not.
   Replans stay bounded by ``max_replans``;
@@ -54,13 +54,11 @@ from repro.core.metrics import (
 )
 from repro.core.observability.registry import HistogramSeries
 from repro.core.observability.spans import KIND_OPTIMIZER
-from repro.core.optimizer.cost import MovementCostModel
 from repro.core.physical.plan import PhysicalPlan
 from repro.core.replan import plan_operator_ids, remainder_plan
 from repro.core.runtime import RuntimeContext
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.optimizer.calibration import CalibrationStore
     from repro.core.optimizer.enumerator import MultiPlatformOptimizer
 
 
@@ -71,36 +69,28 @@ class ProgressiveExecutor(Executor):
     boundary misestimate factors accumulate into a histogram window
     (:data:`~repro.core.metrics.MISESTIMATE_BUCKETS` resolution) and a
     replan fires when the window p90 reaches the high edge of
-    ``drift_band``.  The window resets each round — after a replan the
-    tail is re-estimated from exact materialised cardinalities, so stale
-    drift must not keep re-triggering.
+    :attr:`DRIFT_BAND`.  The window resets each round — after a replan
+    the tail is re-estimated from exact materialised cardinalities, so
+    stale drift must not keep re-triggering.
+
+    The rest of the executor configuration (movement model, retries,
+    calibration store, listeners) is the owning context's:
+    :meth:`RheemContext.execute_adaptive` copies it over.
     """
+
+    #: (low, high): a replan fires when the round's p90 folded factor
+    #: reaches ``high``; ``low`` is the healthy edge.
+    DRIFT_BAND = (1.0, 4.0)
 
     def __init__(
         self,
         task_optimizer: "MultiPlatformOptimizer",
-        movement: MovementCostModel | None = None,
-        max_retries: int = 2,
         max_replans: int = 3,
-        drift_band: tuple[float, float] = (1.0, 4.0),
-        calibration: "CalibrationStore | None" = None,
     ):
         super().__init__(
-            movement or task_optimizer.movement,
-            max_retries,
-            calibration=calibration,
+            task_optimizer.movement, task_optimizer=task_optimizer
         )
-        self.task_optimizer = task_optimizer
         self.max_replans = max_replans
-        low, high = drift_band
-        if not (1.0 <= low <= high):
-            raise ValueError(
-                f"drift_band must satisfy 1.0 <= low <= high, got {drift_band}"
-            )
-        #: (low, high): a replan fires when the round's p90 folded factor
-        #: reaches ``high``; ``low`` is the healthy edge reported as
-        #: converged in span attributes / the explain calibration report.
-        self.drift_band = (low, high)
         self._begin_run(None)
 
     def _begin_run(self, forced_platform: str | None) -> None:
@@ -172,7 +162,7 @@ class ProgressiveExecutor(Executor):
                     "PLAN_REPLANNED",
                     trigger="p90_drift",
                     p90=self._window.quantile(0.9),
-                    band_high=self.drift_band[1],
+                    band_high=self.DRIFT_BAND[1],
                     boundaries=self._window.n,
                     atoms_executed=index + 1,
                     replan=self._replans,
@@ -216,4 +206,4 @@ class ProgressiveExecutor(Executor):
                 window.observe(factor)
         if breached:
             return True
-        return window.n > 0 and window.quantile(0.9) >= self.drift_band[1]
+        return window.n > 0 and window.quantile(0.9) >= self.DRIFT_BAND[1]

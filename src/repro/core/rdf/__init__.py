@@ -11,13 +11,13 @@ This package provides exactly that loop:
 * :class:`~repro.core.rdf.store.TripleStore` — a small indexed triple
   store with wildcard pattern queries;
 * :mod:`~repro.core.rdf.vocabulary` — the ``rheem:`` vocabulary for
-  operator mappings, rewrite rules, estimator defaults and platform cost
-  parameters;
-* :mod:`~repro.core.rdf.config` — encode the library defaults as triples
-  (:func:`default_configuration`) and build a working optimizer
-  configuration back out of a (possibly edited) store
-  (:func:`configuration_from_triples`) — so an operator mapping or a
-  cost constant can be changed by asserting a triple, no code edits.
+  operator mappings, rewrite rules and estimator defaults;
+* :mod:`~repro.core.rdf.config` — encode the library defaults, read from
+  the live registries, as triples (:func:`default_configuration`) and
+  build a working optimizer configuration back out of a (possibly
+  edited) store (:func:`configuration_from_triples`) — so an operator
+  mapping or an estimator constant can be changed by asserting a
+  triple, no code edits.
 """
 
 from repro.core.rdf.config import (

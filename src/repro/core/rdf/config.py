@@ -8,9 +8,11 @@ edit the store (assert, retract, re-prioritise) and call
 :class:`~repro.core.mappings.OperatorMappings`, rule registry and
 estimator that :class:`~repro.RheemContext` accepts directly.
 
-The physical-operator *names* in the triples resolve through a factory
-registry; applications that add operators (the cleaning app's IEJoin)
-register their factories so their mappings can be triple-encoded too.
+The defaults are read from the live registries (:func:`default_mappings`,
+:func:`default_rules`, :class:`CardinalityEstimator`), never copied, and
+names in the triples resolve against those same registries.  An
+application operator that is not in them is addressable once registered
+with :func:`register_logical_type` / :func:`register_physical_factory`.
 """
 
 from __future__ import annotations
@@ -18,102 +20,37 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.core.logical import operators as logical_ops
 from repro.core.logical.operators import LogicalOperator
-from repro.core.mappings import OperatorMappings
+from repro.core.mappings import OperatorMappings, default_mappings
 from repro.core.optimizer.cardinality import CardinalityEstimator
-from repro.core.optimizer.rules import (
-    FuseAdjacentFilters,
-    PushFilterBelowSort,
-    PushFilterBelowUnion,
-    RuleRegistry,
-)
-from repro.core.physical import operators as phys
+from repro.core.optimizer.rules import RuleRegistry, default_rules
 from repro.core.rdf import vocabulary as voc
 from repro.core.rdf.store import TripleStore
 from repro.errors import MappingError
 
-#: physical factory registry: name -> factory(logical) -> PhysicalOperator
-PHYSICAL_FACTORIES: dict[str, Callable] = {
-    "PCollectionSource": phys.PCollectionSource,
-    "PTextFileSource": phys.PTextFileSource,
-    "PTableSource": phys.PTableSource,
-    "PLoopInput": phys.PLoopInput,
-    "PCollectSink": phys.PCollectSink,
-    "PMap": phys.PMap,
-    "PFlatMap": phys.PFlatMap,
-    "PFilter": phys.PFilter,
-    "PZipWithId": phys.PZipWithId,
-    "PHashGroupBy": phys.PHashGroupBy,
-    "PSortGroupBy": phys.PSortGroupBy,
-    "PReduceBy": phys.PReduceBy,
-    "PGlobalReduce": phys.PGlobalReduce,
-    "PHashJoin": phys.PHashJoin,
-    "PSortMergeJoin": phys.PSortMergeJoin,
-    "PCrossProduct": phys.PCrossProduct,
-    "PUnion": phys.PUnion,
-    "PSort": phys.PSort,
-    "PHashDistinct": phys.PHashDistinct,
-    "PSortDistinct": phys.PSortDistinct,
-    "PSample": phys.PSample,
-    "PCount": phys.PCount,
-    "PLimit": phys.PLimit,
-}
+#: application physical factories beyond the defaults: name -> factory
+_PHYSICAL_EXTRAS: dict[str, Callable] = {}
 
-#: logical operator types addressable from triples: name -> class
-LOGICAL_TYPES: dict[str, type[LogicalOperator]] = {
-    name: getattr(logical_ops, name)
-    for name in (
-        "CollectionSource", "TextFileSource", "TableSource", "LoopInput",
-        "CollectSink", "Map", "FlatMap", "Filter", "ZipWithId", "GroupBy",
-        "ReduceBy", "GlobalReduce", "Join", "CrossProduct", "Union", "Sort",
-        "Distinct", "Sample", "Count", "Limit",
-    )
-}
+#: application logical operator types beyond the defaults: name -> class
+_LOGICAL_EXTRAS: dict[str, type[LogicalOperator]] = {}
 
-#: rewrite rules addressable from triples
-RULE_FACTORIES: dict[str, Callable] = {
-    "fuse-adjacent-filters": FuseAdjacentFilters,
-    "push-filter-below-sort": PushFilterBelowSort,
-    "push-filter-below-union": PushFilterBelowUnion,
-}
-
-#: default (logical name, physical name) mapping edges, in priority order
-DEFAULT_MAPPING_EDGES: list[tuple[str, str]] = [
-    ("CollectionSource", "PCollectionSource"),
-    ("TextFileSource", "PTextFileSource"),
-    ("TableSource", "PTableSource"),
-    ("LoopInput", "PLoopInput"),
-    ("CollectSink", "PCollectSink"),
-    ("Map", "PMap"),
-    ("FlatMap", "PFlatMap"),
-    ("Filter", "PFilter"),
-    ("ZipWithId", "PZipWithId"),
-    ("GroupBy", "PHashGroupBy"),
-    ("GroupBy", "PSortGroupBy"),
-    ("ReduceBy", "PReduceBy"),
-    ("GlobalReduce", "PGlobalReduce"),
-    ("Join", "PHashJoin"),
-    ("Join", "PSortMergeJoin"),
-    ("CrossProduct", "PCrossProduct"),
-    ("Union", "PUnion"),
-    ("Sort", "PSort"),
-    ("Distinct", "PHashDistinct"),
-    ("Distinct", "PSortDistinct"),
-    ("Sample", "PSample"),
-    ("Count", "PCount"),
-    ("Limit", "PLimit"),
-]
+#: estimator predicate -> CardinalityEstimator attribute
+_ESTIMATOR_CONSTANTS: tuple[tuple[str, str], ...] = (
+    (voc.FILTER_SELECTIVITY, "DEFAULT_FILTER_SELECTIVITY"),
+    (voc.FLATMAP_FACTOR, "DEFAULT_FLATMAP_FACTOR"),
+    (voc.KEY_FANOUT, "DEFAULT_KEY_FANOUT"),
+    (voc.DISTINCT_FANOUT, "DEFAULT_DISTINCT_FANOUT"),
+)
 
 
 def register_physical_factory(name: str, factory: Callable) -> None:
     """Expose an application-defined physical operator to RDF mappings."""
-    PHYSICAL_FACTORIES[name] = factory
+    _PHYSICAL_EXTRAS[name] = factory
 
 
 def register_logical_type(name: str, klass: type[LogicalOperator]) -> None:
     """Expose an application-defined logical operator to RDF mappings."""
-    LOGICAL_TYPES[name] = klass
+    _LOGICAL_EXTRAS[name] = klass
 
 
 # ----------------------------------------------------------------------
@@ -123,25 +60,20 @@ def default_configuration() -> TripleStore:
     """The library's default configuration, as triples."""
     store = TripleStore()
     priorities: dict[str, int] = {}
-    for logical_name, physical_name in DEFAULT_MAPPING_EDGES:
-        edge = voc.mapping(logical_name, physical_name)
+    for logical_type, factory in default_mappings().edges():
+        logical_name = logical_type.__name__
+        edge = voc.mapping(logical_name, factory.__name__)
         store.add(edge, voc.MAPS_LOGICAL, voc.logical_op(logical_name))
-        store.add(edge, voc.MAPS_PHYSICAL, voc.physical_op(physical_name))
+        store.add(edge, voc.MAPS_PHYSICAL, voc.physical_op(factory.__name__))
         priority = priorities.get(logical_name, 0)
         priorities[logical_name] = priority + 1
         store.add(edge, voc.PRIORITY, priority)
         store.add(edge, voc.ENABLED, True)
-    for rule_name in RULE_FACTORIES:
-        store.add(voc.rule(rule_name), voc.ENABLED, True)
+    for rule in default_rules().rules:
+        store.add(voc.rule(rule.name), voc.ENABLED, True)
     estimator = voc.estimator()
-    store.add(estimator, voc.FILTER_SELECTIVITY,
-              CardinalityEstimator.DEFAULT_FILTER_SELECTIVITY)
-    store.add(estimator, voc.FLATMAP_FACTOR,
-              CardinalityEstimator.DEFAULT_FLATMAP_FACTOR)
-    store.add(estimator, voc.KEY_FANOUT,
-              CardinalityEstimator.DEFAULT_KEY_FANOUT)
-    store.add(estimator, voc.DISTINCT_FANOUT,
-              CardinalityEstimator.DEFAULT_DISTINCT_FANOUT)
+    for predicate, attribute in _ESTIMATOR_CONSTANTS:
+        store.add(estimator, predicate, getattr(CardinalityEstimator, attribute))
     return store
 
 
@@ -164,6 +96,14 @@ def configuration_from_triples(store: TripleStore) -> RdfConfiguration:
     default variant); edges and rules with ``rheem:enabled`` false (or
     retracted) are skipped.
     """
+    logical_types: dict[str, type[LogicalOperator]] = {}
+    factories: dict[str, Callable] = {}
+    for logical_type, factory in default_mappings().edges():
+        logical_types[logical_type.__name__] = logical_type
+        factories[factory.__name__] = factory
+    logical_types.update(_LOGICAL_EXTRAS)
+    factories.update(_PHYSICAL_EXTRAS)
+
     mappings = OperatorMappings()
     edges: list[tuple[int, str, str, str]] = []
     for edge in store.subjects(voc.MAPS_LOGICAL):
@@ -177,39 +117,24 @@ def configuration_from_triples(store: TripleStore) -> RdfConfiguration:
     for _, edge, logical_uri, physical_uri in edges:
         logical_name = logical_uri.rsplit("/", 1)[-1]
         physical_name = physical_uri.rsplit("/", 1)[-1]
-        if logical_name not in LOGICAL_TYPES:
+        if logical_name not in logical_types:
             raise MappingError(
                 f"triple {edge}: unknown logical operator {logical_name!r}"
             )
-        if physical_name not in PHYSICAL_FACTORIES:
+        if physical_name not in factories:
             raise MappingError(
                 f"triple {edge}: unknown physical operator {physical_name!r}"
             )
-        mappings.register(
-            LOGICAL_TYPES[logical_name], PHYSICAL_FACTORIES[physical_name]
-        )
+        mappings.register(logical_types[logical_name], factories[physical_name])
 
     rules = RuleRegistry()
-    for rule_name, factory in RULE_FACTORIES.items():
-        if store.value(voc.rule(rule_name), voc.ENABLED, default=False) is True:
-            rules.register(factory())
+    for rule in default_rules().rules:
+        if store.value(voc.rule(rule.name), voc.ENABLED, default=False) is True:
+            rules.register(rule)
 
     estimator = CardinalityEstimator()
     est = voc.estimator()
-    estimator.DEFAULT_FILTER_SELECTIVITY = float(
-        store.value(est, voc.FILTER_SELECTIVITY,
-                    CardinalityEstimator.DEFAULT_FILTER_SELECTIVITY)
-    )
-    estimator.DEFAULT_FLATMAP_FACTOR = float(
-        store.value(est, voc.FLATMAP_FACTOR,
-                    CardinalityEstimator.DEFAULT_FLATMAP_FACTOR)
-    )
-    estimator.DEFAULT_KEY_FANOUT = float(
-        store.value(est, voc.KEY_FANOUT,
-                    CardinalityEstimator.DEFAULT_KEY_FANOUT)
-    )
-    estimator.DEFAULT_DISTINCT_FANOUT = float(
-        store.value(est, voc.DISTINCT_FANOUT,
-                    CardinalityEstimator.DEFAULT_DISTINCT_FANOUT)
-    )
+    for predicate, attribute in _ESTIMATOR_CONSTANTS:
+        default = getattr(CardinalityEstimator, attribute)
+        setattr(estimator, attribute, float(store.value(est, predicate, default)))
     return RdfConfiguration(mappings=mappings, rules=rules, estimator=estimator)

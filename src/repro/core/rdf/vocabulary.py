@@ -1,8 +1,7 @@
 """The ``rheem:`` configuration vocabulary.
 
 CURIE helpers and predicate constants used to describe operator
-mappings, rewrite rules, estimator defaults and platform cost-model
-parameters as triples.
+mappings, rewrite rules and estimator defaults as triples.
 """
 
 from __future__ import annotations
@@ -32,11 +31,6 @@ def rule(name: str) -> str:
     return f"{PREFIX}:rule/{name}"
 
 
-def platform(name: str) -> str:
-    """Resource for a platform, e.g. ``rheem:platform/spark``."""
-    return f"{PREFIX}:platform/{name}"
-
-
 def estimator() -> str:
     """Resource holding cardinality-estimator defaults."""
     return f"{PREFIX}:estimator"
@@ -57,7 +51,3 @@ FILTER_SELECTIVITY = f"{PREFIX}:defaultFilterSelectivity"
 FLATMAP_FACTOR = f"{PREFIX}:defaultFlatmapFactor"
 KEY_FANOUT = f"{PREFIX}:defaultKeyFanout"
 DISTINCT_FANOUT = f"{PREFIX}:defaultDistinctFanout"
-
-#: platform cost parameters (interpreted by each platform's model)
-STARTUP_MS = f"{PREFIX}:startupMs"
-PER_UNIT_MS = f"{PREFIX}:perUnitMs"

@@ -30,7 +30,7 @@ itself dying.  This module supplies the durable half, and the
 
 * :func:`config_epoch` — a digest of the execution configuration that
   changes result bytes or saved payloads (columnar hand-offs,
-  calibration, calibration store): journal headers
+  calibration and the snapshot path of its store): journal headers
   embed it so state written under one configuration is never replayed
   into another.
 
@@ -88,13 +88,17 @@ def config_epoch(
     columnar: bool = False,
     columnar_native: bool = False,
     calibration: bool = False,
+    store_path: str | None = None,
 ) -> str:
     """Digest of the execution config that affects persisted state.
 
     Two runs with different epochs must not share journals or their
     payload stores: an output saved under ``columnar=1`` would replay
     wrong conversion charges into a row-mode run, and calibration
-    changes the plan and so the charge sequence.  The
+    changes the plan and so the charge sequence.  With calibration on,
+    ``store_path`` (the snapshot the attached store was opened from;
+    None for a store built in code) is part of the epoch too: two
+    stores hold different priors.  The
     columnar-*native* flag is part of the epoch because elided
     boundaries add ``columnar.elide`` ledger entries the egest path
     lacks.  Parallelism is deliberately *excluded* — results and
@@ -111,7 +115,7 @@ def config_epoch(
         # journals and plan-cache keys written before that still match
         "kernels=1",
         f"calibration={int(bool(calibration))}",
-        "store=" + os.environ.get("REPRO_CALIBRATION_STORE", "").strip(),
+        "store=" + ((store_path or "") if calibration else ""),
     )
     digest = hashlib.sha256("|".join(parts).encode("utf-8")).hexdigest()
     return digest[:16]

@@ -10,7 +10,7 @@ down with seeded workloads (ISSUE acceptance criteria b and c):
   drops;
 * adaptive replans and the resulting priors are **deterministic under
   parallelism=4** (journal-ordered observation replay);
-* the drift-band trigger itself behaves: validation, single-outlier
+* the drift-band trigger itself behaves: the default band, single-outlier
   breach, infinite factors, dilution by healthy boundaries, and the
   ``replans_adaptive`` counter / ``PLAN_REPLANNED`` span event.
 """
@@ -126,15 +126,13 @@ class TestStatisticalFeedback:
 
 class TestDriftBand:
     def test_band_validation(self, ctx):
-        with pytest.raises(ValueError, match="drift_band"):
-            ProgressiveExecutor(ctx.task_optimizer, drift_band=(0.5, 4.0))
-        with pytest.raises(ValueError, match="drift_band"):
-            ProgressiveExecutor(ctx.task_optimizer, drift_band=(8.0, 4.0))
+        low, high = ProgressiveExecutor(ctx.task_optimizer).DRIFT_BAND
+        assert (low, high) == (1.0, 4.0)
+        assert 1.0 <= low <= high
 
     def test_wide_band_suppresses_replans(self, ctx):
-        progressive = ProgressiveExecutor(
-            ctx.task_optimizer, drift_band=(1.0, 1e9)
-        )
+        progressive = ProgressiveExecutor(ctx.task_optimizer)
+        progressive.DRIFT_BAND = (1.0, 1e9)
         result, replans = progressive.execute_progressively(
             misestimated_loop_plan(ctx)
         )
@@ -149,7 +147,7 @@ class TestDriftBand:
         class FixedThreshold(ProgressiveExecutor):
             def _drift_exceeded(self, atom, channels, execution, window):
                 factors = self._boundary_factors(atom, channels, execution)
-                return any(f >= self.drift_band[1] for f in factors)
+                return any(f >= self.DRIFT_BAND[1] for f in factors)
 
         adaptive = ProgressiveExecutor(ctx.task_optimizer)
         _, drift_replans = adaptive.execute_progressively(
@@ -165,7 +163,8 @@ class TestDriftBand:
 
     @staticmethod
     def _drift(ctx, estimates, observed, band=(1.0, 4.0)):
-        progressive = ProgressiveExecutor(ctx.task_optimizer, drift_band=band)
+        progressive = ProgressiveExecutor(ctx.task_optimizer)
+        progressive.DRIFT_BAND = band
         atom = SimpleNamespace(output_ids=sorted(estimates))
         channels = {
             op_id: CollectionChannel(list(range(n)), "java")

@@ -3,16 +3,40 @@
 import pytest
 
 from repro import RheemContext
+from repro.core.mappings import default_mappings
+from repro.core.optimizer.cardinality import CardinalityEstimator
+from repro.core.optimizer.rules import default_rules
 from repro.core.rdf import (
     TripleStore,
     configuration_from_triples,
     default_configuration,
     vocabulary as voc,
 )
+from repro.core.rdf import config as rdf_config
 from repro.core.rdf.store import Triple, TripleStoreError
 from repro.core.logical.operators import GroupBy, Filter
 from repro.core.physical.operators import PHashGroupBy, PSortGroupBy
 from repro.errors import MappingError
+
+
+def candidate_names(mappings) -> dict[str, list[str]]:
+    """Logical type name -> its factory names, default variant first."""
+    names: dict[str, list[str]] = {}
+    for logical_type, factory in mappings.edges():
+        names.setdefault(logical_type.__name__, []).append(factory.__name__)
+    return names
+
+
+DEFAULT_LOGICAL_TYPES = sorted(candidate_names(default_mappings()))
+
+
+def add_edge(store, logical_name, physical_name, priority):
+    """Assert one enabled mapping edge."""
+    edge = voc.mapping(logical_name, physical_name)
+    store.add(edge, voc.MAPS_LOGICAL, voc.logical_op(logical_name))
+    store.add(edge, voc.MAPS_PHYSICAL, voc.physical_op(physical_name))
+    store.add(edge, voc.PRIORITY, priority)
+    store.add(edge, voc.ENABLED, True)
 
 
 class TestTripleStore:
@@ -78,13 +102,54 @@ class TestTripleStore:
 
 
 class TestRoundTrip:
+    @pytest.mark.parametrize("logical_name", DEFAULT_LOGICAL_TYPES)
+    def test_default_mappings_round_trip(self, logical_name):
+        decoded = configuration_from_triples(default_configuration())
+        assert (
+            candidate_names(decoded.mappings)[logical_name]
+            == candidate_names(default_mappings())[logical_name]
+        )
+
     def test_default_configuration_round_trips(self):
         config = configuration_from_triples(default_configuration())
-        group_variants = config.mappings.candidates(GroupBy(lambda x: x))
-        assert isinstance(group_variants[0], PHashGroupBy)
-        assert isinstance(group_variants[1], PSortGroupBy)
-        assert len(config.rules.rules) == 3
-        assert config.estimator.DEFAULT_FILTER_SELECTIVITY == 0.25
+        assert [rule.name for rule in config.rules.rules] == [
+            rule.name for rule in default_rules().rules
+        ]
+        for attribute in (
+            "DEFAULT_FILTER_SELECTIVITY",
+            "DEFAULT_FLATMAP_FACTOR",
+            "DEFAULT_KEY_FANOUT",
+            "DEFAULT_DISTINCT_FANOUT",
+        ):
+            assert getattr(config.estimator, attribute) == getattr(
+                CardinalityEstimator, attribute
+            )
+
+    def test_cleaning_extension_round_trips(self, monkeypatch):
+        from repro.apps.cleaning.iejoin import (
+            InequalityJoin,
+            PIEJoin,
+            _nested_loop_variant,
+            register_iejoin,
+        )
+        from repro.platforms import default_platforms
+
+        # fresh extras tables, restored afterwards: nothing leaks
+        monkeypatch.setattr(rdf_config, "_LOGICAL_EXTRAS", {})
+        monkeypatch.setattr(rdf_config, "_PHYSICAL_EXTRAS", {})
+        rdf_config.register_logical_type("InequalityJoin", InequalityJoin)
+        rdf_config.register_physical_factory("PIEJoin", PIEJoin)
+        rdf_config.register_physical_factory(
+            "_nested_loop_variant", _nested_loop_variant
+        )
+        store = default_configuration()
+        add_edge(store, "InequalityJoin", "PIEJoin", 0)
+        add_edge(store, "InequalityJoin", "_nested_loop_variant", 1)
+        decoded = configuration_from_triples(store)
+
+        expected = default_mappings().copy()
+        register_iejoin(expected, default_platforms())
+        assert candidate_names(decoded.mappings) == candidate_names(expected)
 
     def test_context_runs_on_rdf_configuration(self):
         config = configuration_from_triples(default_configuration())
@@ -151,31 +216,19 @@ class TestEditingTriples:
 
     def test_unknown_physical_operator_rejected(self):
         store = default_configuration()
-        edge = voc.mapping("Filter", "PWarpDrive")
-        store.add(edge, voc.MAPS_LOGICAL, voc.logical_op("Filter"))
-        store.add(edge, voc.MAPS_PHYSICAL, voc.physical_op("PWarpDrive"))
-        store.add(edge, voc.PRIORITY, 9)
-        store.add(edge, voc.ENABLED, True)
+        add_edge(store, "Filter", "PWarpDrive", 9)
         with pytest.raises(MappingError, match="PWarpDrive"):
             configuration_from_triples(store)
 
-    def test_application_extends_registries(self):
-        from repro.core.rdf.config import (
-            register_logical_type,
-            register_physical_factory,
-        )
+    def test_application_extends_registries(self, monkeypatch):
         from repro.core.physical.operators import PFilter
 
         class NoisyFilter(Filter):
             pass
 
-        register_logical_type("NoisyFilter", NoisyFilter)
-        register_physical_factory("PNoisyFilter", PFilter)
+        monkeypatch.setitem(rdf_config._LOGICAL_EXTRAS, "NoisyFilter", NoisyFilter)
+        monkeypatch.setitem(rdf_config._PHYSICAL_EXTRAS, "PNoisyFilter", PFilter)
         store = default_configuration()
-        edge = voc.mapping("NoisyFilter", "PNoisyFilter")
-        store.add(edge, voc.MAPS_LOGICAL, voc.logical_op("NoisyFilter"))
-        store.add(edge, voc.MAPS_PHYSICAL, voc.physical_op("PNoisyFilter"))
-        store.add(edge, voc.PRIORITY, 0)
-        store.add(edge, voc.ENABLED, True)
+        add_edge(store, "NoisyFilter", "PNoisyFilter", 0)
         config = configuration_from_triples(store)
         assert config.mappings.has_mapping(NoisyFilter)

@@ -192,10 +192,20 @@ class TestConfigEpoch:
         )
         assert config_epoch(calibration=True) == "60473835f7cebcea"
 
-    def test_sensitive_to_calibration_store(self, monkeypatch):
-        base = config_epoch(calibration=True)
-        monkeypatch.setenv("REPRO_CALIBRATION_STORE", "/tmp/priors.json")
-        assert config_epoch(calibration=True) != base
+    def test_sensitive_to_calibration_store(self, monkeypatch, tmp_path):
+        """The epoch digests the store in effect, not the environment."""
+        from repro.cli import _open_calibration_store
+        from repro.core.executor import Executor
+
+        def epoch(store=None):
+            return Executor(calibration=store)._config_epoch()
+
+        a = _open_calibration_store(str(tmp_path / "a.json"))
+        b = _open_calibration_store(str(tmp_path / "b.json"))
+        assert epoch(a) != epoch(b)
+        before = (epoch(), epoch(a))
+        monkeypatch.setenv("REPRO_CALIBRATION_STORE", str(tmp_path / "z.json"))
+        assert (epoch(), epoch(a)) == before
 
 
 # ----------------------------------------------------------------------

@@ -3,7 +3,6 @@
 import pytest
 
 from repro import RheemContext
-from repro.core.optimizer.application import ApplicationOptimizer
 from repro.core.types import Schema
 from repro.storage import Catalog, LocalFsStore
 
@@ -60,17 +59,6 @@ class TestSharedScans:
         )
         out = joined.map(lambda p: p[0]["id"]).collect()
         assert sorted(out) == list(range(30))
-
-    def test_sharing_can_be_disabled(self, catalog_ctx):
-        ctx = catalog_ctx
-        optimizer = ApplicationOptimizer(
-            ctx.mappings, ctx.rules, share_scans=False
-        )
-        joined = ctx.table("t").join(
-            ctx.table("t"), lambda r: r["id"], lambda r: r["id"]
-        )
-        physical = optimizer.optimize(joined.plan)
-        assert scan_count(physical, "source.table") == 2
 
     def test_self_cross_both_slots_rewired(self, catalog_ctx):
         """A consumer reading the duplicate scan on both slots survives."""
