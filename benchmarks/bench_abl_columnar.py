@@ -19,10 +19,7 @@ repeat-loop chain:
   row materialisation is ≥1.5x faster than packed egest at full scale
   (≥1.2x quick); the default row path (``wall_ms_rows``, columnar
   transport off) is recorded beside both as the "don't use the feature"
-  alternative;
-* **the cost model predicts it** — the kernel-aware model fitted from
-  :meth:`CostProfiler.profile_datapath` measured rates picks the same
-  winner the wall clock does.
+  alternative.
 """
 
 from __future__ import annotations
@@ -130,24 +127,6 @@ def test_abl12_columnar_native():
         == _ledger_sequence(egest_result)
     )
 
-    # the kernel-aware cost model must predict the measured winner from
-    # profiled rates, not hard-coded discounts
-    from repro.core.optimizer.profiler import CostProfiler
-
-    model = CostProfiler(sizes=(2_000, 16_000)).profile_datapath().kernel_model()
-    predicted_row_ms = 0.0
-    predicted_columnar_ms = 0.0
-    for boundary in execution.columnar_boundaries:
-        prediction = model.predict_boundary(
-            boundary["consumer_kind"], boundary["card"]
-        )
-        if prediction is None:
-            prediction = (model.unpack_ms(boundary["card"]), 0.0)
-        predicted_row_ms += prediction[0]
-        predicted_columnar_ms += prediction[1]
-    predicted_native_wins = predicted_columnar_ms < predicted_row_ms
-    measured_native_wins = native_wall < egest_wall
-
     table = record_table(
         "ABL12",
         f"columnar-native kernels — {ROWS} rows through a {TRIPS}-trip "
@@ -171,11 +150,6 @@ def test_abl12_columnar_native():
         "egest virtual bills match, and the native ledger equals the "
         "egest ledger minus its zero-ms columnar.elide entries"
     )
-    table.notes.append(
-        "cost model predicts native wins: "
-        f"{'yes' if predicted_native_wins else 'no'} "
-        f"(measured: {'yes' if measured_native_wins else 'no'})"
-    )
     record_bench(
         "ABL12",
         rows=ROWS,
@@ -189,9 +163,6 @@ def test_abl12_columnar_native():
         elide_entries=len(elide_entries),
         speedup=speedup,
         speedup_floor=FLOOR,
-        predicted_row_ms=predicted_row_ms,
-        predicted_columnar_ms=predicted_columnar_ms,
-        prediction_matches=predicted_native_wins == measured_native_wins,
         identical=identical,
         **maybe_resources(metrics),
     )
@@ -209,12 +180,6 @@ def test_abl12_columnar_native():
         f"expected >={FLOOR}x native-vs-egest wall speedup at "
         f"parallelism 1, got {speedup:.2f}x "
         f"({native_wall * 1000:.1f}ms vs {egest_wall * 1000:.1f}ms)"
-    )
-    assert predicted_native_wins == measured_native_wins, (
-        "kernel cost model predicted the wrong winner: predicted "
-        f"row={predicted_row_ms:.2f}ms columnar={predicted_columnar_ms:.2f}ms, "
-        f"measured native={native_wall * 1000:.1f}ms "
-        f"egest={egest_wall * 1000:.1f}ms"
     )
 
 

@@ -721,85 +721,6 @@ def _render_datapath_report(execution) -> list[str]:
     return lines
 
 
-def _render_columnar_report(ctx: RheemContext, execution) -> list[str]:
-    """Per-boundary columnar decisions + profiled wall-clock prediction.
-
-    Mirrors the kernel/fusion report for the columnar data path: every
-    channel/loop-state boundary of the chosen plan is labelled
-    ``packed + elided`` (consumer reads the buffers in place),
-    ``packed + egested`` (with the rejection reason), or ``rows``
-    (columnar transport off).  When any boundary is elide-eligible, a
-    quick datapath micro-profile prices the row path against the
-    columnar-native path from *measured* kernel rates — the prediction
-    the kernel-aware cost model feeds the enumerator, not a hard-coded
-    discount.
-    """
-    boundaries = getattr(execution, "columnar_boundaries", [])
-    if not boundaries:
-        return []
-    columnar_on = bool(getattr(ctx.executor, "columnar", False))
-    native_on = columnar_on and bool(
-        getattr(ctx.executor, "columnar_native", False)
-    )
-    if not columnar_on:
-        mode = "off (set REPRO_COLUMNAR=1 to pack numeric hand-offs)"
-    elif not native_on:
-        mode = "packed, egest-per-consumer (columnar_native=False)"
-    else:
-        mode = "native (eligible consumers read column buffers in place)"
-    lines = [f"columnar data path: {mode}", "  boundaries:"]
-    for record in boundaries:
-        where = (
-            f"loop#{record['atom']} state"
-            if record["boundary"] == "loop-state"
-            else f"op#{record['producer']} -> atom#{record['atom']} "
-            f"op#{record['consumer']} {record['consumer_kind']}"
-        )
-        if not columnar_on:
-            decision = "rows (columnar transport off)"
-        elif record["eligible"] and native_on:
-            decision = f"packed + elided ({record['reason']})"
-        elif record["eligible"]:
-            decision = (
-                f"packed + egested (native consumption disabled; "
-                f"would elide: {record['reason']})"
-            )
-        else:
-            decision = f"packed + egested ({record['reason']})"
-        lines.append(f"    {where}: {decision}")
-    eligible = [b for b in boundaries if b["eligible"]]
-    if not eligible:
-        return lines
-    from repro.core.optimizer.profiler import CostProfiler
-
-    model = CostProfiler(sizes=(1_000, 8_000)).profile_datapath().kernel_model()
-    row_total = columnar_total = 0.0
-    for record in eligible:
-        card = float(record.get("card") or 0.0)
-        predicted = model.predict_boundary(record["consumer_kind"], card)
-        if predicted is None:
-            # No profiled consumer stage (e.g. loop state): the win is
-            # the elided unpack itself.
-            predicted = (model.unpack_ms(card), 0.0)
-        row_total += predicted[0]
-        columnar_total += predicted[1]
-    direction = "columnar" if columnar_total < row_total else "row"
-    lines.append(
-        "  predicted from profiled kernel rates "
-        f"({len(eligible)} eligible boundarie(s), estimated cards):"
-    )
-    lines.append(f"    row path       {row_total:10.3f} ms wall")
-    lines.append(f"    columnar path  {columnar_total:10.3f} ms wall")
-    if row_total > 0 and columnar_total > 0:
-        lines.append(
-            f"    -> predicted winner: {direction} "
-            f"({row_total / columnar_total:.2f}x)"
-        )
-    else:
-        lines.append(f"    -> predicted winner: {direction}")
-    return lines
-
-
 def _render_calibration_report(ctx: RheemContext, execution) -> list[str]:
     """The calibration section of ``repro explain``.
 
@@ -873,7 +794,6 @@ def _render_decision_trace(
     lines.extend(f"  {line}" for line in execution.explain().splitlines())
     lines.extend(_render_datapath_report(execution))
     if ctx is not None:
-        lines.extend(_render_columnar_report(ctx, execution))
         lines.extend(_render_calibration_report(ctx, execution))
     return "\n".join(lines)
 

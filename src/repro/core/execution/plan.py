@@ -134,12 +134,6 @@ class ExecutionPlan:
         #: plans).  The Executor's failover path re-plans the unexecuted
         #: suffix of this plan when a platform is quarantined.
         self.source_plan: Any | None = None
-        #: static per-boundary columnar decisions (set by
-        #: MultiPlatformOptimizer.optimize via
-        #: :func:`repro.core.physical.columnar.analyze_boundaries`;
-        #: rendered by ``repro explain`` and priced by the
-        #: kernel-aware cost model)
-        self.columnar_boundaries: list[dict[str, Any]] = []
 
     @property
     def platforms(self) -> tuple["Platform", ...]:

@@ -112,73 +112,6 @@ class PlatformCostModel(ABC):
         return 0.0002 * card
 
 
-class KernelCostModel:
-    """Wall-clock data-path model fed by *measured* kernel rates.
-
-    Everything else in this module prices **virtual** time — the
-    simulated-cluster currency benchmarks report.  This model prices
-    **wall** time on this host: per-row milliseconds for each data-path
-    stage in row mode versus columnar-native mode, measured by
-    :meth:`repro.core.optimizer.profiler.CostProfiler.profile_datapath`
-    (never hard-coded).  It is how the optimizer and ``repro explain``
-    *predict* the win of eliding a columnar boundary instead of merely
-    reporting which kernel engaged after the fact.
-
-    ``rates`` maps ``(stage, mode)`` to measured ms/row, where stage is
-    one of ``project`` / ``filter`` / ``reduceby`` (consumer compute)
-    or ``boundary.unpack`` / ``boundary.pack`` (the egest row
-    materialisation and the ingest pack, both row-mode only).
-    """
-
-    #: consumer operator kind -> profiled stage that dominates it
-    STAGE_OF_KIND = {
-        "map": "project",
-        "fused.narrow": "project",
-        "filter": "filter",
-        "reduceby.hash": "reduceby",
-        "groupby.hash": "reduceby",
-    }
-
-    def __init__(self, rates: dict[tuple[str, str], float]):
-        self.rates = dict(rates)
-
-    def rate(self, stage: str, mode: str) -> float:
-        """Measured ms per row for ``stage`` in ``mode`` (0.0 unknown)."""
-        return self.rates.get((stage, mode), 0.0)
-
-    def stage_ms(self, stage: str, card: float, mode: str) -> float:
-        """Predicted wall ms for one stage over ``card`` rows."""
-        return self.rate(stage, mode) * card
-
-    def unpack_ms(self, card: float) -> float:
-        """Predicted wall ms of the egest row materialisation."""
-        return self.stage_ms("boundary.unpack", card, "row")
-
-    def pack_ms(self, card: float) -> float:
-        """Predicted wall ms of packing rows into column buffers."""
-        return self.stage_ms("boundary.pack", card, "row")
-
-    def boundary_ms(self, card: float, elided: bool) -> float:
-        """Predicted wall ms of one consuming hop's unpack (0 elided)."""
-        return 0.0 if elided else self.unpack_ms(card)
-
-    def predict_boundary(
-        self, consumer_kind: str, card: float
-    ) -> tuple[float, float] | None:
-        """``(row_ms, columnar_ms)`` for one boundary + its consumer.
-
-        Row mode pays the unpack then the row-mode kernel; columnar
-        mode elides the unpack and runs the columnar kernel.  ``None``
-        when the consumer kind has no profiled stage.
-        """
-        stage = self.STAGE_OF_KIND.get(consumer_kind)
-        if stage is None:
-            return None
-        row = self.unpack_ms(card) + self.stage_ms(stage, card, "row")
-        columnar = self.stage_ms(stage, card, "columnar")
-        return row, columnar
-
-
 class MovementCostModel:
     """Inter-platform data movement cost.
 

@@ -46,7 +46,6 @@ from repro.core.execution.plan import ExecutionPlan, LoopAtom, TaskAtom
 from repro.core.observability.spans import KIND_OPTIMIZER, maybe_span
 from repro.core.optimizer.cardinality import CardinalityEstimator
 from repro.core.optimizer.cost import MovementCostModel, OperatorCostInput
-from repro.core.physical.columnar import analyze_boundaries
 from repro.core.physical.operators import PhysicalOperator, PRepeat
 from repro.core.physical.plan import PhysicalPlan
 from repro.errors import OptimizationError
@@ -166,23 +165,11 @@ class MultiPlatformOptimizer:
             execution = self._cut_atoms(plan, assignment, estimates)
             execution.estimate_kinds = estimate_kinds
             execution.estimate_corrections = estimate_corrections
-            # Static columnar boundary analysis: which hand-offs an
-            # eligible consumer could read in place (rendered by
-            # ``repro explain``, priced by the kernel-aware model).
-            execution.columnar_boundaries = analyze_boundaries(execution)
             if span is not None:
                 span.set(
                     atoms=len(execution.atoms),
                     platforms=[p.name for p in execution.platforms],
                 )
-                eligible = sum(
-                    1 for b in execution.columnar_boundaries if b["eligible"]
-                )
-                if execution.columnar_boundaries:
-                    span.set(
-                        columnar_boundaries=len(execution.columnar_boundaries),
-                        columnar_eligible=eligible,
-                    )
         # Remember the physical plan so the Executor can rebuild the
         # remaining suffix on failover (operator objects are shared, so
         # ids — and thus channels and sinks — stay stable).

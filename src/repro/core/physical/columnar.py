@@ -15,8 +15,8 @@ store the engine operates on in place):
   single-column predicates (:class:`ColumnPredicate` or a bare
   ``itemgetter(i)`` truthiness test), single-column keys, and declared
   columnwise reducers (:class:`ColumnwiseReduce`) are recognised
-  statically, which is what the executor's elide gate and the
-  ``repro explain`` boundary report both consult.
+  statically, which is what the executor's elide gate
+  (:func:`can_elide`, :func:`loop_state_consumers`) consults.
 * native kernels — projection (zero-copy buffer selection), filtering
   (one mask pass + ``itertools.compress`` per column), columnwise
   reduce-by sweeps, and hash-join/group-by/reduce-by *key builds* that
@@ -45,10 +45,8 @@ __all__ = [
     "ColumnarBatch",
     "ColumnPredicate",
     "ColumnwiseReduce",
-    "analyze_boundaries",
     "can_elide",
     "column_predicate",
-    "consume_decision",
     "key_column",
     "native_filter",
     "native_map",
@@ -274,67 +272,6 @@ def can_elide(op: Any, slot: int, width: int, scalar: bool) -> bool:
     return False
 
 
-def consume_decision(op: Any, slot: int = 0) -> tuple[bool, str]:
-    """Static (layout-independent) eligibility of ``op``, with a reason.
-
-    The ``repro explain`` boundary report renders these; the runtime
-    gate (:func:`can_elide`) re-checks against the actual layout, so a
-    statically eligible boundary may still egest when the data turns
-    out scalar/too narrow — the report carries that caveat.
-    """
-    kind = op.kind
-    if kind == "map":
-        if projection_indices(op.udf) is None:
-            return False, "map udf is not an itemgetter projection"
-        return True, "itemgetter projection selects column buffers"
-    if kind == "filter":
-        spec = predicate_spec(op.predicate)
-        if spec is None:
-            return (
-                False,
-                "filter predicate is not single-column "
-                "(ColumnPredicate or itemgetter)",
-            )
-        return True, f"single-column predicate on col {spec[0]}"
-    if kind == "fused.narrow":
-        if op.source_stage is not None:
-            return False, "fused chain streams from a source head"
-        stages = op.narrow_stages
-        if not stages:
-            return False, "empty fused pipeline"
-        ok, why = consume_decision(stages[0])
-        if not ok:
-            return False, f"fused head ineligible: {why}"
-        prefix = 0
-        for stage in stages:
-            if consume_decision(stage)[0]:
-                prefix += 1
-            else:
-                break
-        return True, f"native prefix: {prefix}/{len(stages)} fused stage(s)"
-    if kind in ("reduceby.hash", "groupby.hash"):
-        index = key_column(op.key)
-        if index is None:
-            return False, f"{kind} key is not a single-column itemgetter"
-        if kind == "reduceby.hash" and isinstance(
-            op.reducer, ColumnwiseReduce
-        ):
-            return True, f"columnwise sweep keyed on col {index}"
-        return True, f"native key build on col {index}"
-    if kind == "reduce.global":
-        return True, "global reduce sweeps scalar buffers (scalar layouts)"
-    if kind in ("join.hash", "join.broadcast"):
-        key = op.left_key if slot == 0 else op.right_key
-        index = key_column(key)
-        if index is None:
-            side = "left" if slot == 0 else "right"
-            return False, f"join {side} key is not a single-column itemgetter"
-        return True, f"native key build on col {index}"
-    if kind == "sink.collect":
-        return False, "collect sink returns rows to the caller"
-    return False, f"no columnar-native kernel for kind {kind!r}"
-
-
 # ----------------------------------------------------------------------
 # native kernels
 # ----------------------------------------------------------------------
@@ -483,109 +420,6 @@ def run_fused(pipeline: Any, batch: ColumnarBatch) -> Any:
         native_stages += 1
     note_kernel("fused.columnar")
     return current
-
-
-# ----------------------------------------------------------------------
-# static boundary analysis (enumerator + repro explain)
-# ----------------------------------------------------------------------
-def analyze_boundaries(execution: Any) -> list[dict[str, Any]]:
-    """Per-boundary columnar decisions for an execution plan.
-
-    One record per channel hand-off the executor will price: task-atom
-    external inputs and loop-state recirculations.  ``eligible`` is the
-    *static* consumer-side verdict (runtime packing additionally
-    requires numerically eligible data); ``reason`` explains either the
-    native kernel that will consume in place or why the boundary must
-    egest rows.  The enumerator attaches this to the plan; ``repro
-    explain`` renders it and prices it with profiled kernel rates.
-    """
-    from repro.core.execution.plan import LoopAtom
-
-    records: list[dict[str, Any]] = []
-
-    def walk(plan: Any) -> None:
-        for atom in plan.atoms:
-            if isinstance(atom, LoopAtom):
-                repeat = atom.repeat
-                if repeat.condition is not None:
-                    eligible, reason = (
-                        False,
-                        "loop condition consumes row state",
-                    )
-                else:
-                    eligible, reason = _loop_state_decision(atom)
-                # price the hop by what actually consumes the state: the
-                # first body operator reading the bound loop input
-                state_consumers = loop_state_consumers(atom)
-                consumer_kind = (
-                    state_consumers[0][0].kind
-                    if state_consumers
-                    else "source.loopinput"
-                )
-                records.append(
-                    {
-                        "boundary": "loop-state",
-                        "atom": atom.id,
-                        "producer": repeat.body_output.id,
-                        "consumer": repeat.body_input.id,
-                        "consumer_kind": consumer_kind,
-                        "eligible": eligible,
-                        "reason": reason,
-                        "card": plan.estimates.get(repeat.id),
-                    }
-                )
-                walk(atom.body_plan)
-                continue
-            ops_by_id = {op.id: op for op in atom.fragment.operators}
-            for (consumer_id, slot), producer_id in sorted(
-                atom.external_inputs.items()
-            ):
-                consumer = ops_by_id.get(consumer_id)
-                if consumer is None:  # pragma: no cover - defensive
-                    continue
-                eligible, reason = consume_decision(consumer, slot)
-                records.append(
-                    {
-                        "boundary": "channel",
-                        "atom": atom.id,
-                        "producer": producer_id,
-                        "consumer": consumer_id,
-                        "consumer_kind": consumer.kind,
-                        "slot": slot,
-                        "eligible": eligible,
-                        "reason": reason,
-                        "card": plan.estimates.get(producer_id),
-                    }
-                )
-
-    walk(execution)
-    return records
-
-
-def _loop_state_decision(atom: Any) -> tuple[bool, str]:
-    """Static decision for a loop's per-iteration state hand-off."""
-    body_input_id = atom.repeat.body_input.id
-    decisions: list[tuple[bool, str]] = []
-    for body_atom in atom.body_plan.atoms:
-        fragment = getattr(body_atom, "fragment", None)
-        if fragment is None:
-            return False, "nested loop body"
-        for op in fragment.operators:
-            if op.kind == "source.loopinput" and op.id == body_input_id:
-                for consumer in fragment.consumers_of(op):
-                    for slot, producer in enumerate(
-                        fragment.inputs_of(consumer)
-                    ):
-                        if producer is op:
-                            decisions.append(
-                                consume_decision(consumer, slot)
-                            )
-    if not decisions:
-        return False, "loop state has no in-fragment consumer"
-    for eligible, reason in decisions:
-        if not eligible:
-            return False, reason
-    return True, "; ".join(sorted({r for _, r in decisions}))
 
 
 def loop_state_consumers(atom: Any) -> list[tuple[Any, int]] | None:

@@ -6,7 +6,7 @@ hop.  These tests pin its contract:
 
 * static eligibility introspection (itemgetter projections,
   single-column predicates, columnwise reducers) and the per-hop elide
-  gate;
+  gate, including which loop-body operators consume a loop's state;
 * native kernels are byte-identical to the row path, including the
   mid-chain fallbacks — overflowing sums, bool/ragged projections and
   other layout escapes fall back to rows without wrong answers;
@@ -14,9 +14,6 @@ hop.  These tests pin its contract:
   elided batch still being consumed;
 * the resource profiler's ``payload_bytes``/``channel_bytes`` stay
   exact on elided boundaries, at parallelism 1 and 4;
-* the kernel-aware cost model is fed by measured rates
-  (``profile_datapath``) and predicts per-boundary row-vs-columnar wall
-  cost; ``repro explain`` renders the per-boundary decision;
 * ledger/epoch plumbing: zero-ms ``columnar.elide`` entries, a
   ``columnar_native`` config-epoch component.
 """
@@ -30,14 +27,14 @@ import pytest
 
 from repro import RheemContext, Tracer
 from repro.core.channels import ColumnarChannel
+from repro.core.execution.plan import LoopAtom
 from repro.core.physical import kernels
 from repro.core.physical.columnar import (
     ColumnPredicate,
     ColumnwiseReduce,
-    analyze_boundaries,
     can_elide,
-    consume_decision,
     key_column,
+    loop_state_consumers,
     native_filter,
     native_keys,
     native_map,
@@ -60,6 +57,23 @@ def run_pipeline(build, **ctx_kwargs):
     """Collect ``build(quanta)`` on java under the given context flags."""
     ctx = RheemContext(**ctx_kwargs)
     return build(ctx).collect(platform="java")
+
+
+def _loop_execution(ctx, condition=None):
+    """The optimized execution of an elide-eligible repeat pipeline."""
+    from repro.core.logical.operators import CollectSink
+
+    quanta = ctx.collection(list(ROWS), name="rows").repeat(
+        2,
+        lambda d: d.filter(ColumnPredicate(0, (6).__gt__)).map(
+            itemgetter(3, 1, 2, 0)
+        ),
+        condition=condition,
+    )
+    sink = CollectSink()
+    quanta._builder.plan.add(sink, [quanta._op])
+    physical = ctx.app_optimizer.optimize(quanta._builder.plan)
+    return ctx.task_optimizer.optimize(physical, forced_platform="java")
 
 
 # ----------------------------------------------------------------------
@@ -148,17 +162,20 @@ class TestElideGate:
         op = SimpleNamespace(kind="sort")
         assert not can_elide(op, 0, width=4, scalar=False)
 
-    def test_consume_decision_reasons(self):
-        ok, why = consume_decision(
-            SimpleNamespace(kind="map", udf=itemgetter(0, 1))
+    def test_loop_state_consumers_finds_the_body_head(self):
+        execution = _loop_execution(RheemContext())
+        (loop,) = [a for a in execution.atoms if isinstance(a, LoopAtom)]
+        consumers = loop_state_consumers(loop)
+        assert consumers is not None and len(consumers) == 1
+        op, slot = consumers[0]
+        assert op.kind in ("filter", "fused.narrow") and slot == 0
+
+    def test_loop_condition_keeps_state_in_rows(self):
+        execution = _loop_execution(
+            RheemContext(), condition=lambda state: not state
         )
-        assert ok and "itemgetter projection" in why
-        ok, why = consume_decision(
-            SimpleNamespace(kind="map", udf=lambda t: t)
-        )
-        assert not ok and "not an itemgetter" in why
-        ok, why = consume_decision(SimpleNamespace(kind="sink.collect"))
-        assert not ok and "collect sink" in why
+        (loop,) = [a for a in execution.atoms if isinstance(a, LoopAtom)]
+        assert loop_state_consumers(loop) is None
 
 
 # ----------------------------------------------------------------------
@@ -496,136 +513,6 @@ class TestProfiledElision:
             )
 
         assert totals(native_metrics) == totals(egest_metrics)
-
-
-# ----------------------------------------------------------------------
-# the kernel-aware cost model
-# ----------------------------------------------------------------------
-class TestKernelCostModel:
-    def _model(self):
-        from repro.core.optimizer.cost import KernelCostModel
-
-        return KernelCostModel(
-            {
-                ("project", "row"): 0.002,
-                ("project", "columnar"): 0.0001,
-                ("filter", "row"): 0.003,
-                ("filter", "columnar"): 0.001,
-                ("boundary.unpack", "row"): 0.004,
-                ("boundary.pack", "row"): 0.005,
-            }
-        )
-
-    def test_boundary_prediction_arithmetic(self):
-        model = self._model()
-        assert model.unpack_ms(1000) == pytest.approx(4.0)
-        assert model.pack_ms(1000) == pytest.approx(5.0)
-        assert model.boundary_ms(1000, elided=True) == 0.0
-        assert model.boundary_ms(1000, elided=False) == pytest.approx(4.0)
-        row, columnar = model.predict_boundary("map", 1000)
-        assert row == pytest.approx(4.0 + 2.0)
-        assert columnar == pytest.approx(0.1)
-
-    def test_fused_and_reduceby_kinds_map_to_stages(self):
-        model = self._model()
-        assert model.predict_boundary("fused.narrow", 10) is not None
-        assert model.predict_boundary("filter", 10) is not None
-        # no profiled stage for a collect sink
-        assert model.predict_boundary("sink.collect", 10) is None
-
-    def test_unknown_rates_price_as_zero(self):
-        model = self._model()
-        assert model.rate("reduceby", "row") == 0.0
-        assert model.stage_ms("reduceby", 1000, "row") == 0.0
-
-    def test_profile_datapath_feeds_the_model(self):
-        from repro.core.optimizer.profiler import CostProfiler
-
-        profile = CostProfiler().profile_datapath(sizes=(500, 2_000))
-        for stage in ("project", "filter", "reduceby"):
-            assert profile.per_row_ms(stage, "row") > 0.0
-            assert profile.per_row_ms(stage, "columnar") > 0.0
-        assert profile.per_row_ms("boundary.unpack", "row") > 0.0
-        assert profile.per_row_ms("boundary.pack", "row") > 0.0
-
-        model = profile.kernel_model()
-        prediction = model.predict_boundary("map", 10_000)
-        assert prediction is not None
-        row_ms, columnar_ms = prediction
-        assert row_ms > 0.0 and columnar_ms >= 0.0
-        assert profile.summary()  # renders without error
-
-
-# ----------------------------------------------------------------------
-# boundary analysis + repro explain
-# ----------------------------------------------------------------------
-def _loop_execution(ctx):
-    """The optimized execution of an elide-eligible repeat pipeline."""
-    from repro.core.logical.operators import CollectSink
-
-    quanta = ctx.collection(list(ROWS), name="rows").repeat(
-        2,
-        lambda d: d.filter(ColumnPredicate(0, (6).__gt__)).map(
-            itemgetter(3, 1, 2, 0)
-        ),
-    )
-    sink = CollectSink()
-    quanta._builder.plan.add(sink, [quanta._op])
-    physical = ctx.app_optimizer.optimize(quanta._builder.plan)
-    return ctx.task_optimizer.optimize(physical, forced_platform="java")
-
-
-class TestBoundaryAnalysis:
-    def test_loop_state_boundary_is_eligible_with_consumer_kind(self):
-        execution = _loop_execution(RheemContext())
-        boundaries = execution.columnar_boundaries
-        assert boundaries == analyze_boundaries(execution)
-        loop_state = [
-            b for b in boundaries if b["boundary"] == "loop-state"
-        ]
-        assert len(loop_state) == 1
-        record = loop_state[0]
-        assert record["eligible"] is True
-        # priced by what actually consumes the state, not the loop input
-        assert record["consumer_kind"] in ("filter", "fused.narrow")
-        assert record["card"] == float(len(ROWS))
-
-    def test_collect_sink_boundary_is_rejected_with_reason(self):
-        execution = _loop_execution(RheemContext())
-        sinks = [
-            b for b in execution.columnar_boundaries
-            if b["consumer_kind"] == "sink.collect"
-        ]
-        assert sinks and not sinks[0]["eligible"]
-        assert "collect sink" in sinks[0]["reason"]
-
-
-class TestExplainReport:
-    def _render(self, **ctx_kwargs):
-        from repro.cli import _render_columnar_report
-
-        ctx = RheemContext(**ctx_kwargs)
-        execution = _loop_execution(ctx)
-        return "\n".join(_render_columnar_report(ctx, execution))
-
-    def test_native_mode_reports_elided_and_prediction(self):
-        text = self._render(columnar=True, columnar_native=True)
-        assert "columnar data path: native" in text
-        assert "packed + elided" in text
-        assert "packed + egested (collect sink returns rows" in text
-        assert "predicted from profiled kernel rates" in text
-        assert "row path" in text and "columnar path" in text
-        assert "predicted winner" in text
-
-    def test_egest_mode_reports_would_elide(self):
-        text = self._render(columnar=True, columnar_native=False)
-        assert "packed, egest-per-consumer" in text
-        assert "would elide" in text
-
-    def test_columnar_off_reports_rows(self):
-        text = self._render(columnar=False)
-        assert "rows (columnar transport off)" in text
-        assert "packed + elided" not in text
 
 
 # ----------------------------------------------------------------------
