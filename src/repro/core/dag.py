@@ -322,6 +322,32 @@ class OperatorGraph(Generic[OpT]):
                 if producer is old:
                     slots[index] = new
 
+    def contract_chains(self, chains: Iterable[tuple[Sequence[OpT], OpT]]) -> None:
+        """Replace each ``(members, new)`` chain by ``new``, all in one pass.
+
+        ``members`` is a producer-to-consumer path whose members other than
+        the tail feed only the next member.  ``new`` takes the head's
+        position and input slots and serves the tail's consumers.
+        """
+        head_of: dict[int, OpT] = {}
+        absorbed: dict[int, OpT] = {}
+        for members, new in chains:
+            head_of[members[0].id] = new
+            for op in members[1:]:
+                absorbed[op.id] = new
+        operators: list[OpT] = []
+        inputs: dict[int, list[OpT]] = {}
+        for op in self._operators:
+            if op.id in absorbed:
+                continue
+            slots = [absorbed.get(p.id, p) for p in self._inputs[op.id]]
+            op = head_of.get(op.id, op)
+            operators.append(op)
+            inputs[op.id] = slots
+        self._changed()
+        self._operators = operators
+        self._inputs = inputs
+
     def subgraph(self, members: Iterable[OpT]) -> "OperatorGraph[OpT]":
         """Build a new graph over ``members``, keeping edges internal to them.
 

@@ -505,17 +505,7 @@ class MultiPlatformOptimizer:
         repeat: PRepeat,
         platform: "Platform",
     ) -> LoopAtom:
-        """Schedule a loop body entirely on ``platform``.
-
-        Re-entrant: a failover or progressive re-plan may hand the same
-        ``PRepeat`` object back after an earlier round already fused its
-        body output into a platform-specific pipeline; undo that so the
-        body can be re-cut (and re-fused) for the new platform.
-        """
-        from repro.core.physical.fusion import PFusedPipeline
-
-        if isinstance(repeat.body_output, PFusedPipeline):
-            repeat.body_output = repeat.body_output.stages[-1]
+        """Schedule a loop body entirely on ``platform``."""
         body_assignment = self._forced_body_assignment(repeat, platform)
         replaced = self._apply_variants(repeat.body, body_assignment)
         if repeat.body_input.id in replaced:
@@ -532,38 +522,8 @@ class MultiPlatformOptimizer:
             self.estimator.estimate_plan(repeat.body),
             extra_output_ids=frozenset({repeat.body_output.id}),
         )
-        # Platform-layer fusion may have folded the output operator into a
-        # fused pipeline ending with it; follow the replacement.
-        try:
-            body_plan.atom_of(repeat.body_output.id)
-        except KeyError:
-            repeat.body_output = self._resolve_fused_output(
-                body_plan, repeat.body_output
-            )
         (state_producer,) = graph.inputs_of(repeat)
         return LoopAtom(platform, repeat, body_plan, state_producer.id)
-
-    @staticmethod
-    def _resolve_fused_output(
-        body_plan: ExecutionPlan, body_output: PhysicalOperator
-    ) -> PhysicalOperator:
-        """Find the fused pipeline that absorbed ``body_output``."""
-        from repro.core.physical.fusion import PFusedPipeline
-
-        for atom in body_plan.atoms:
-            if not isinstance(atom, TaskAtom):
-                continue
-            for operator in atom.fragment:
-                if (
-                    isinstance(operator, PFusedPipeline)
-                    and operator.stages
-                    and operator.stages[-1] is body_output
-                ):
-                    return operator
-        raise OptimizationError(
-            f"loop output {body_output!r} lost during platform-layer "
-            "optimization"
-        )
 
     def _forced_body_assignment(
         self, repeat: PRepeat, platform: "Platform"

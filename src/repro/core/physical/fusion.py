@@ -46,7 +46,7 @@ from repro.core.physical.operators import (
 )
 
 #: operator kinds fusable into a single per-quantum pass
-FUSABLE_KINDS = frozenset({"map", "filter", "flatmap", "fused.narrow"})
+FUSABLE_KINDS = frozenset({"map", "filter", "flatmap"})
 
 #: source kinds that may stream into the head of a fused chain
 FUSABLE_SOURCE_KINDS = frozenset({"source.textfile"})
@@ -62,14 +62,8 @@ class PFusedPipeline(PhysicalOperator):
 
     def __init__(self, stages: list[PhysicalOperator]):
         super().__init__(None, "PFusedPipeline")
-        flattened: list[PhysicalOperator] = []
-        for stage in stages:
-            if isinstance(stage, PFusedPipeline):
-                flattened.extend(stage.stages)
-            else:
-                flattened.append(stage)
-        self.stages = flattened
-        if flattened and flattened[0].kind in FUSABLE_SOURCE_KINDS:
+        self.stages = list(stages)
+        if stages and stages[0].kind in FUSABLE_SOURCE_KINDS:
             # The chain starts at a fused source: the pipeline *is* the
             # source and consumes no upstream input.
             self.num_inputs = 0
@@ -207,7 +201,10 @@ def fuse_narrow_chains(atom: TaskAtom, fuse_sources: bool = False) -> int:
     producer feeds only that consumer inside the atom, and **neither**
     operator's output is needed outside the atom — channels between atoms
     are keyed by operator id, so externally visible operators must keep
-    their identity.
+    their identity.  One walk in topological order grows each maximal
+    run of such pairs, and one splice replaces every run by a single
+    :class:`PFusedPipeline` at its head's position; the count returned
+    is the number of fused pairs.
 
     With ``fuse_sources=True`` a :data:`FUSABLE_SOURCE_KINDS` source may
     additionally fuse into the head of the chain, streaming its quanta
@@ -216,53 +213,43 @@ def fuse_narrow_chains(atom: TaskAtom, fuse_sources: bool = False) -> int:
     workmeter pricing needs the source materialised into partitions)
     leave this off.
     """
-    fused = 0
     graph = atom.fragment
-    changed = True
-    while changed:
-        changed = False
-        for consumer in graph.operators:
-            if consumer.kind not in FUSABLE_KINDS:
-                continue
-            producers = graph.inputs_of(consumer)
-            if len(producers) != 1:
-                continue
-            (producer,) = producers
-            if producer.kind not in FUSABLE_KINDS and not (
-                fuse_sources and producer.kind in FUSABLE_SOURCE_KINDS
-            ):
-                continue
-            if producer.id in atom.output_ids or consumer.id in atom.output_ids:
-                continue
-            if len(graph.consumers_of(producer)) != 1:
-                continue
-            pipeline = PFusedPipeline(
-                (producer.stages if isinstance(producer, PFusedPipeline)
-                 else [producer])
-                + (consumer.stages if isinstance(consumer, PFusedPipeline)
-                   else [consumer])
+    outputs = atom.output_ids
+    run_of: dict[int, list[PhysicalOperator]] = {}
+    for consumer in graph.topological_order():
+        if consumer.kind not in FUSABLE_KINDS or consumer.id in outputs:
+            continue
+        producers = graph.inputs_of(consumer)
+        if len(producers) != 1:
+            continue
+        (producer,) = producers
+        if producer.kind not in FUSABLE_KINDS and not (
+            fuse_sources and producer.kind in FUSABLE_SOURCE_KINDS
+        ):
+            continue
+        if producer.id in outputs or len(graph.consumers_of(producer)) != 1:
+            continue
+        run = run_of.setdefault(producer.id, [producer])
+        run.append(consumer)
+        run_of[consumer.id] = run
+    runs = [run for head_id, run in run_of.items() if run[0].id == head_id]
+    if not runs:
+        return 0
+    pipelines = [(run, PFusedPipeline(run)) for run in runs]
+    # A head fed by another atom's channel hands its slot to the pipeline.
+    # The executor pulls channels in dict order, so re-keyed entries go
+    # last, ordered by the insertion position of their run's last member.
+    fed = [(run, pipe) for run, pipe in pipelines
+           if (run[0].id, 0) in atom.external_inputs]
+    if fed:
+        position = {op.id: index for index, op in enumerate(graph)}
+        fed.sort(key=lambda item: max(position[op.id] for op in item[0][1:]))
+        for run, pipe in fed:
+            atom.external_inputs[(pipe.id, 0)] = atom.external_inputs.pop(
+                (run[0].id, 0)
             )
-            # Rewire: pipeline takes the producer's input, serves the
-            # consumer's consumers.
-            grand_producers = list(graph.inputs_of(producer))
-            graph.replace_node(producer, pipeline)
-            # pipeline currently inherits producer's wiring; splice out
-            # the consumer.
-            graph.remove_unary(consumer)
-            _ = grand_producers  # wiring transferred by replace_node
-            # Move bookkeeping from the removed operators to the pipeline.
-            for old in (producer, consumer):
-                for (op_id, slot), source in list(atom.external_inputs.items()):
-                    if op_id == old.id:
-                        del atom.external_inputs[(op_id, slot)]
-                        atom.external_inputs[(pipeline.id, slot)] = source
-                if old.id in atom.output_ids:
-                    atom.output_ids.discard(old.id)
-                    atom.output_ids.add(pipeline.id)
-            fused += 1
-            changed = True
-            break
-    return fused
+    graph.contract_chains(pipelines)
+    return sum(len(run) - 1 for run in runs)
 
 
 def _fused_work_units(cost_input: OperatorCostInput) -> float:

@@ -26,6 +26,7 @@ from repro.core.execution.plan import TaskAtom
 from repro.core.metrics import CostLedger
 from repro.core.optimizer.cost import OperatorCostInput, PlatformCostModel
 from repro.core.physical.compiled import drain_kernel_note
+from repro.core.physical.fusion import fuse_narrow_chains
 from repro.core.physical.operators import PhysicalOperator, PRepeat
 from repro.core.runtime import RuntimeContext
 from repro.errors import ExecutionError, UnsupportedOperatorError
@@ -77,6 +78,11 @@ class Platform(ABC):
     #: place.  The executor only elides the ``columnar.egest`` row
     #: materialisation for consumers on platforms that opt in.
     columnar_native: bool = False
+    #: Whether :meth:`optimize_atom` fuses narrow chains, and whether a
+    #: streamable source may head a fused chain (see
+    #: :func:`~repro.core.physical.fusion.fuse_narrow_chains`).
+    fuse_narrow: bool = False
+    fuse_sources: bool = False
 
     def __init__(self, cost_model: PlatformCostModel):
         self.cost_model = cost_model
@@ -133,10 +139,12 @@ class Platform(ABC):
 
         Called once per atom after the multi-platform optimizer cuts the
         plan — "a third optimization phase that uses plugged-in
-        platform-specific optimization tools" (§4.3).  The default does
-        nothing; platforms that pipeline narrow operators override this
-        with :func:`repro.core.physical.fusion.fuse_narrow_chains`.
+        platform-specific optimization tools" (§4.3).  Platforms that
+        pipeline narrow operators set :attr:`fuse_narrow` and get
+        :func:`repro.core.physical.fusion.fuse_narrow_chains`.
         """
+        if self.fuse_narrow:
+            fuse_narrow_chains(atom, fuse_sources=self.fuse_sources)
 
     # ------------------------------------------------------------------
     # native dataset representation

@@ -4,10 +4,8 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.core.execution.plan import TaskAtom
 from repro.core.optimizer.cost import OperatorCostInput, PlatformCostModel
 from repro.core.optimizer.workunits import work_units
-from repro.core.physical.fusion import fuse_narrow_chains
 from repro.platforms.base import Platform
 from repro.platforms.flink import operators
 from repro.platforms.flink.stream import DataStream
@@ -100,20 +98,15 @@ class FlinkPlatform(Platform):
     profiles = frozenset({"batch", "iterative", "stream"})
     #: Flink job slots allow several concurrent jobs
     max_concurrent_atoms = 4
+    #: operator chaining, the engine's hallmark platform-layer
+    #: optimization; the pipelined engine streams file lines straight
+    #: into fused chains
+    fuse_narrow = True
+    fuse_sources = True
 
-    def __init__(self, cost_model: FlinkCostModel | None = None,
-                 fuse_narrow: bool = True, fuse_sources: bool = True):
+    def __init__(self, cost_model: FlinkCostModel | None = None):
         super().__init__(cost_model or FlinkCostModel())
-        self.fuse_narrow = fuse_narrow
-        #: pipelined engine streams file lines straight into fused chains
-        self.fuse_sources = fuse_sources
         operators.register_all(self)
-
-    def optimize_atom(self, atom: TaskAtom) -> None:
-        """Operator chaining, the engine's hallmark platform-layer
-        optimization."""
-        if self.fuse_narrow:
-            fuse_narrow_chains(atom, fuse_sources=self.fuse_sources)
 
     def ingest(self, data: list[Any]) -> DataStream:
         return DataStream.from_list(data)

@@ -11,10 +11,8 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.core.execution.plan import TaskAtom
 from repro.core.optimizer.cost import OperatorCostInput, PlatformCostModel
 from repro.core.optimizer.workunits import work_units
-from repro.core.physical.fusion import fuse_narrow_chains
 from repro.platforms.base import Platform
 from repro.platforms.java import operators
 
@@ -70,18 +68,14 @@ class JavaPlatform(Platform):
     max_concurrent_atoms = 8
     #: operators and kernels consume ColumnarBatch hand-offs in place
     columnar_native = True
+    #: in-process engine streams file lines straight into fused chains
+    fuse_sources = True
 
     def __init__(self, cost_model: JavaCostModel | None = None,
-                 fuse_narrow: bool = True, fuse_sources: bool = True):
+                 fuse_narrow: bool = True):
         super().__init__(cost_model or JavaCostModel())
         self.fuse_narrow = fuse_narrow
-        #: in-process engine streams file lines straight into fused chains
-        self.fuse_sources = fuse_sources
         operators.register_all(self)
-
-    def optimize_atom(self, atom: TaskAtom) -> None:
-        if self.fuse_narrow:
-            fuse_narrow_chains(atom, fuse_sources=self.fuse_sources)
 
     def ingest(self, data: list[Any]) -> Any:
         # Columnar batches stay columnar across the process-local

@@ -4,10 +4,8 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.core.execution.plan import TaskAtom
 from repro.core.optimizer.cost import OperatorCostInput, PlatformCostModel
 from repro.core.optimizer.workunits import work_units
-from repro.core.physical.fusion import fuse_narrow_chains
 from repro.platforms.base import Platform
 from repro.platforms.spark import operators
 from repro.platforms.spark.cluster import ClusterConfig
@@ -126,14 +124,10 @@ class SparkPlatform(Platform):
     ):
         self.cluster = cluster or ClusterConfig()
         super().__init__(cost_model or SparkCostModel(self.cluster))
+        #: narrow chains pipeline into one stage pass, the simulation of
+        #: Spark's own operator pipelining
         self.fuse_narrow = fuse_narrow
         operators.register_all(self)
-
-    def optimize_atom(self, atom: TaskAtom) -> None:
-        """Platform-layer phase: pipeline narrow chains into one stage
-        pass (the simulation of Spark's own operator pipelining)."""
-        if self.fuse_narrow:
-            fuse_narrow_chains(atom)
 
     def ingest(self, data: list[Any]) -> SimRDD:
         return SimRDD.from_collection(data, self.cluster.default_parallelism)

@@ -148,20 +148,16 @@ class TestExplainCommand:
                  f"people={people_csv}"]
             )
 
-    def test_explain_is_deterministic_and_measures_nothing(self, monkeypatch):
+    def test_explain_is_deterministic_and_measures_nothing(self):
         # A loop whose state feeds an elide-eligible filter, columnar off:
         # explain renders the plan from the optimizer's spans alone, so two
         # renders match byte for byte and no wall-clock prediction appears.
-        import sys
         from operator import itemgetter
 
         from repro import RheemContext, Tracer
         from repro.cli import _optimize_only, _render_decision_trace
         from repro.core.physical.columnar import ColumnPredicate
 
-        profiler = "repro.core.optimizer.profiler"
-        if profiler in sys.modules:
-            monkeypatch.delitem(sys.modules, profiler)
         rows = [(i % 7, float(i % 5) * 0.5, i * 3, i % 11) for i in range(200)]
         ctx = RheemContext(columnar=False)
         tracer = Tracer()
@@ -178,7 +174,6 @@ class TestExplainCommand:
         assert first == second
         assert "loop#" in first
         assert "predicted" not in first
-        assert profiler not in sys.modules
 
 
 class TestTraceFlags:

@@ -312,6 +312,17 @@ def surgery_remove_isolated(graph, data):
         graph.add(Src())
 
 
+def surgery_contract_chains(graph, data):
+    members = [data.draw(st.sampled_from(graph.operators))]
+    while len(members) < 4:
+        consumers = reference_consumers(graph, members[-1])
+        if len(consumers) != 1 or consumers[0].num_inputs != 1:
+            break
+        members.append(consumers[0])
+    if len(members) > 1:
+        graph.contract_chains([(members, type(members[0])())])
+
+
 SURGERIES = [
     add_random,
     surgery_insert_between,
@@ -320,6 +331,7 @@ SURGERIES = [
     surgery_replace_input,
     surgery_absorb,
     surgery_remove_isolated,
+    surgery_contract_chains,
 ]
 
 
