@@ -11,22 +11,17 @@ cost model.  It then *divides the plan into task atoms* — maximal
 single-platform fragments — and emits an
 :class:`~repro.core.execution.plan.ExecutionPlan`.
 
-The assignment search is a dynamic program over the plan DAG: the cost of
-running an operator under a choice is its platform cost plus, per input,
-the cheapest producer choice including the movement cost of crossing
-platforms.  Shared sub-plans (operators with several consumers) make the
-DP an approximation — producer costs can be counted once per consumer; a
-reverse-topological consistency pass resolves every operator to a single
-choice.  Plans here are overwhelmingly tree-shaped, and the executor
-re-prices the final plan with observed cardinalities anyway, so the
-approximation only ever affects plan choice, never reported times.
-
-Per-platform start-ups are global, so the DP runs once per non-empty
-subset of the platform roster and the exact cost picks the winner.  What
-the subset does not change — order and wiring, each operator's choices
-and their costs, movement costs — is built once per plan in an
-:class:`_AssignmentTable` that every subset reads, so the whole search is
-linear in plan size (times the handful of subsets).
+The assignment search is one dynamic program over the plan DAG: an
+operator's cost under a choice is its platform cost plus, per input, the
+cheapest producer state including the movement cost of crossing
+platforms.  Start-ups are global, so a state is (boundary platform, set of
+platforms started) — at most n·2^(n-1) per operator — and the final set
+whose cost plus start-ups is least wins; one reverse-topological pass
+confined to it commits one choice per operator.  Shared sub-plans make
+the forward values an approximation (a producer is counted once per
+consumer), so on a DAG each final set's committed plan is priced exactly.
+The executor re-prices the final plan with observed cardinalities anyway,
+so the approximation only ever affects plan choice, never reported times.
 
 Loops (``PRepeat``) are costed as ``iterations × body cost`` with
 loop-invariant sources priced at cache-read rates after the first
@@ -39,6 +34,8 @@ paper §8, challenge 2).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 from typing import TYPE_CHECKING
 
 from repro.core.dag import OperatorGraph
@@ -61,10 +58,6 @@ class Choice:
 
     variant: PhysicalOperator
     platform: "Platform"
-
-    @property
-    def key(self) -> tuple[int, str]:
-        return (self.variant.id, self.platform.name)
 
 
 class MultiPlatformOptimizer:
@@ -103,8 +96,8 @@ class MultiPlatformOptimizer:
         platforms from the roster for this call — the Executor's failover
         path uses it to re-plan a suffix off a quarantined platform.
         ``tracer`` (optional) records the full decision trace: one
-        ``candidate`` span per platform subset considered with its
-        estimated cost, plus the winner and the reason it won.
+        ``candidate`` span per platform subset with the estimated cost of
+        the best plan confined to it, plus the winner and why it won.
         """
         plan.validate()
         with maybe_span(
@@ -115,7 +108,6 @@ class MultiPlatformOptimizer:
             forced=forced_platform,
             excluded=sorted(exclude_platforms or ()),
         ) as span:
-            roster = self._roster(exclude_platforms)
             estimates = self.estimator.estimate_plan(plan)
             # Snapshot kind + applied-correction maps NOW: variant
             # substitution renumbers operators and nested loop-body
@@ -136,24 +128,9 @@ class MultiPlatformOptimizer:
                         }
                     ),
                 )
-            table = _AssignmentTable(self, plan, estimates, roster)
-            if forced_platform is not None:
-                if exclude_platforms and forced_platform in exclude_platforms:
-                    raise OptimizationError(
-                        f"forced platform {forced_platform!r} is excluded"
-                    )
-                assignment = self._forced_assignment(table, forced_platform)
-                if span is not None:
-                    span.set(
-                        winner=[forced_platform],
-                        winner_cost=table.cost(assignment),
-                        reason=f"platform pinned to {forced_platform!r}",
-                        candidates=1,
-                    )
-            else:
-                assignment = self._cost_based_assignment(
-                    table, tracer=tracer, span=span
-                )
+            assignment = self._assignment(
+                plan, estimates, forced_platform, exclude_platforms, tracer, span
+            )
             if span is not None:
                 span.set(
                     assignment=self._describe_assignment(
@@ -201,64 +178,42 @@ class MultiPlatformOptimizer:
         forced_platform: str | None = None,
         exclude_platforms: "set[str] | None" = None,
     ) -> float:
-        """Estimated virtual cost of the best (or forced) assignment.
-
-        Exposed for tests and ablations; includes per-platform start-up.
-        """
+        """Estimated virtual cost, start-ups included, of the plan
+        :meth:`optimize` would execute (one costing path serves both).
+        Exposed for tests and ablations."""
         plan.validate()
-        table = _AssignmentTable(
-            self,
-            plan,
-            self.estimator.estimate_plan(plan),
-            self._roster(exclude_platforms),
+        estimates = self.estimator.estimate_plan(plan)
+        assignment = self._assignment(
+            plan, estimates, forced_platform, exclude_platforms
         )
-        if forced_platform is not None:
-            assignment = self._forced_assignment(table, forced_platform)
-        else:
-            assignment = self._cost_based_assignment(table)
-        return table.cost(assignment)
+        return self._cost(plan, estimates, assignment)
 
-    def _roster(
-        self, exclude_platforms: "set[str] | None"
-    ) -> "list[Platform]":
-        """The platform roster minus any excluded names."""
-        if not exclude_platforms:
-            return list(self.platforms)
-        roster = [
-            p for p in self.platforms if p.name not in exclude_platforms
-        ]
-        if not roster:
-            raise OptimizationError(
-                f"every platform is excluded: {sorted(exclude_platforms)}"
-            )
-        return roster
+    def _cost(self, plan: PhysicalPlan, estimates: dict, assignment: dict) -> float:
+        """Exact estimated cost of ``assignment``, start-ups included."""
+        used = {choice.platform.name for choice in assignment.values()}
+        roster = [p for p in self.platforms if p.name in used]
+        return _AssignmentTable(self, plan, estimates, roster).cost(assignment)
 
     # ------------------------------------------------------------------
-    # choice enumeration
+    # pricing and the assignment search
     # ------------------------------------------------------------------
-    def _platform_by_name(self, name: str) -> "Platform":
-        for platform in self.platforms:
-            if platform.name == name:
-                return platform
-        raise OptimizationError(
-            f"unknown platform {name!r}; have {[p.name for p in self.platforms]}"
-        )
-
-    def _operator_cost(
+    def _operator_costs(
         self,
-        choice: Choice,
+        variant: PhysicalOperator,
+        platforms: "list[Platform]",
         input_cards: tuple[float, ...],
         output_card: float,
-    ) -> float:
-        if isinstance(choice.variant, PRepeat):
-            return self._loop_cost(choice.variant, choice.platform, input_cards)
+    ) -> list[float]:
+        """``variant``'s cost on each of ``platforms``."""
+        if isinstance(variant, PRepeat):
+            return [self._loop_cost(variant, p, input_cards) for p in platforms]
         cost_input = OperatorCostInput(
-            kind=choice.variant.kind,
+            kind=variant.kind,
             input_cards=input_cards,
             output_card=output_card,
-            udf_load=choice.variant.hints.udf_load,
+            udf_load=variant.hints.udf_load,
         )
-        return choice.platform.cost_model.operator_ms(cost_input)
+        return [p.cost_model.operator_ms(cost_input) for p in platforms]
 
     def _loop_cost(
         self,
@@ -286,7 +241,7 @@ class MultiPlatformOptimizer:
             )
             out_card = body_estimates[operator.id]
             best = min(
-                self._operator_cost(Choice(variant, platform), in_cards, out_card)
+                self._operator_costs(variant, [platform], in_cards, out_card)[0]
                 for variant in [operator] + list(operator.alternates)
                 if platform.supports(variant)
             )
@@ -298,99 +253,120 @@ class MultiPlatformOptimizer:
                 per_iteration += best
         return first_iteration_extra + iterations * per_iteration
 
-    # ------------------------------------------------------------------
-    # assignment search
-    # ------------------------------------------------------------------
-    def _forced_assignment(
-        self, table: "_AssignmentTable", platform_name: str
+    def _assignment(
+        self,
+        plan: PhysicalPlan,
+        estimates: dict[int, float],
+        forced_platform: str | None,
+        exclude_platforms: "set[str] | None",
+        tracer: "Tracer | None" = None,
+        span=None,
     ) -> dict[int, Choice]:
-        platform = self._platform_by_name(platform_name)
+        """The one costing path: the forced or cost-based assignment."""
+        excluded = exclude_platforms or set()
+        roster = [p for p in self.platforms if p.name not in excluded]
+        if not roster:
+            raise OptimizationError(f"every platform is excluded: {sorted(excluded)}")
+        if forced_platform is None:
+            table = _AssignmentTable(self, plan, estimates, roster)
+            return self._cost_based_assignment(table, tracer, span)
+        names = [p.name for p in self.platforms]
+        if forced_platform not in names:
+            raise OptimizationError(
+                f"unknown platform {forced_platform!r}; have {names}"
+            )
+        platform = self.platforms[names.index(forced_platform)]
+        if platform not in roster:
+            raise OptimizationError(f"forced platform {forced_platform!r} is excluded")
+        assignment = self._forced_assignment(plan, platform, estimates)
+        if span is not None:
+            span.set(
+                winner=[forced_platform],
+                winner_cost=self._cost(plan, estimates, assignment),
+                reason=f"platform pinned to {forced_platform!r}",
+                candidates=1,
+            )
+        return assignment
+
+    def _forced_assignment(
+        self, plan: PhysicalPlan, platform: "Platform", estimates: dict[int, float]
+    ) -> dict[int, Choice]:
+        """Every operator's cheapest supported variant on ``platform``."""
+        graph = plan.graph
         assignment: dict[int, Choice] = {}
-        for operator in table.order:
-            variants = [operator] + list(operator.alternates)
-            supported = [v for v in variants if platform.supports(v)]
-            if not supported:
+        for operator in graph.topological_order():
+            variants = [operator, *operator.alternates]
+            if not (supported := [v for v in variants if platform.supports(v)]):
                 raise OptimizationError(
-                    f"platform {platform_name!r} does not support "
+                    f"platform {platform.name!r} does not support "
                     f"{operator.describe()}"
                 )
+            in_cards = tuple(estimates[p.id] for p in graph.inputs_of(operator))
             best = min(
                 supported,
-                key=lambda v: table.operator_cost(operator, Choice(v, platform)),
+                key=lambda v: self._operator_costs(
+                    v, [platform], in_cards, estimates[operator.id]
+                )[0],
             )
             assignment[operator.id] = Choice(best, platform)
         return assignment
 
+    @staticmethod
     def _cost_based_assignment(
-        self,
         table: "_AssignmentTable",
         tracer: "Tracer | None" = None,
         span=None,
     ) -> dict[int, Choice]:
-        """Best assignment over all platform subsets of the table's roster.
+        """Best assignment over the table's roster, start-ups included.
 
-        The per-operator DP cannot see per-platform start-up costs (they
-        are global, not per-edge), so running it over the full roster
-        makes it sprinkle expensive-to-start platforms onto single
-        operators.  Instead the DP runs once per non-empty platform
-        subset — exponential in the number of *platforms* (a handful) —
-        and the exact cost (start-ups included) picks the winner.  Every
-        subset reads the same :class:`_AssignmentTable`, so each run is
-        a filter and lookups, linear in plan size.
-
-        With a tracer attached, every subset becomes a ``candidate``
-        span carrying its estimated cost (or infeasibility), and the
-        enclosing ``span`` receives winner/cost/reason attributes — the
-        enumerator's decision trace that ``repro explain`` renders.
+        The final set of started platforms whose cost plus start-ups is
+        least wins (the lowest mask on a tie; on a DAG, by the exact cost
+        of each set's committed plan).  With a tracer attached, every
+        non-empty roster subset becomes a ``candidate`` span carrying the
+        cost of the best plan confined to it, or why it is infeasible,
+        and ``span`` receives winner/cost/reason — the decision trace
+        that ``repro explain`` renders.
         """
         roster = table.roster
-        best: dict[int, Choice] | None = None
-        best_cost = float("inf")
-        best_names: list[str] = []
-        candidates = 0
-        n = len(roster)
-        for mask in range(1, 1 << n):
-            subset = [roster[i] for i in range(n) if mask & (1 << i)]
-            names = [p.name for p in subset]
-            candidates += 1
-            with maybe_span(
-                tracer, "candidate", KIND_OPTIMIZER, platforms=names
-            ) as cand_span:
-                try:
-                    candidate = table.assign(subset)
-                except OptimizationError as error:
-                    if cand_span is not None:
-                        cand_span.set(feasible=False, why=str(error))
-                    continue
-                cost = table.cost(candidate)
-                if cand_span is not None:
-                    cand_span.set(feasible=True, estimated_cost_ms=cost)
-                if cost < best_cost:
-                    best, best_cost, best_names = candidate, cost, names
+        full = (1 << len(roster)) - 1
+        states, totals = table.search()
         if tracer is not None:
+            for subset in range(1, full + 1):
+                names = [p.name for i, p in enumerate(roster) if subset >> i & 1]
+                with tracer.span("candidate", KIND_OPTIMIZER, platforms=names) as cand:
+                    confined = [v for m, v in totals.items() if not m & ~subset]
+                    if confined:
+                        cand.set(feasible=True, estimated_cost_ms=min(confined))
+                    else:
+                        cand.set(feasible=False, why=str(table.unsupported(subset)))
             tracer.registry.counter(
                 "enumerator.candidates",
                 "platform subsets considered by the enumerator",
-            ).inc(candidates)
-        if best is None:
-            # Re-raise the full-roster error with its informative message.
-            table.assign(roster)
-            raise OptimizationError("no feasible platform assignment")
+            ).inc(full)
+        if not totals:  # some operator runs on no platform of the roster
+            raise table.unsupported(full)
+        plans = {}
+        if table.shared:
+            plans = {mask: table.commit(states, mask) for mask in totals}
+            totals = {mask: table.cost(plan) for mask, plan in plans.items()}
+        winner = min(totals, key=totals.__getitem__)
+        assignment = plans.get(winner) or table.commit(states, winner)
         if span is not None:
+            cost = table.cost(assignment)
             span.set(
-                candidates=candidates,
-                winner=best_names,
-                winner_cost=best_cost,
+                candidates=full,
+                winner=[p.name for i, p in enumerate(roster) if winner >> i & 1],
+                winner_cost=cost,
                 reason=(
-                    f"cheapest estimated virtual cost ({best_cost:.2f}ms) "
-                    f"across {candidates} platform-subset candidates "
+                    f"cheapest estimated virtual cost ({cost:.2f}ms) "
+                    f"across {full} platform-subset candidates "
                     "(start-ups included)"
                 ),
             )
-        return best
+        return assignment
 
     # ------------------------------------------------------------------
-    # variant substitution
+    # variant substitution and task-atom cutting
     # ------------------------------------------------------------------
     def _apply_variants(
         self, plan: PhysicalPlan, assignment: dict[int, Choice]
@@ -407,9 +383,6 @@ class MultiPlatformOptimizer:
                 replaced[operator.id] = choice.variant
         return replaced
 
-    # ------------------------------------------------------------------
-    # task-atom cutting
-    # ------------------------------------------------------------------
     def _cut_atoms(
         self,
         plan: PhysicalPlan,
@@ -506,7 +479,10 @@ class MultiPlatformOptimizer:
         platform: "Platform",
     ) -> LoopAtom:
         """Schedule a loop body entirely on ``platform``."""
-        body_assignment = self._forced_body_assignment(repeat, platform)
+        estimates = self.estimator.estimate_plan(repeat.body)
+        body_assignment = self._forced_assignment(
+            repeat.body, platform, estimates
+        )
         replaced = self._apply_variants(repeat.body, body_assignment)
         if repeat.body_input.id in replaced:
             repeat.body_input = replaced[repeat.body_input.id]
@@ -519,36 +495,11 @@ class MultiPlatformOptimizer:
         body_plan = self._cut_atoms(
             repeat.body,
             body_assignment,
-            self.estimator.estimate_plan(repeat.body),
+            estimates,
             extra_output_ids=frozenset({repeat.body_output.id}),
         )
         (state_producer,) = graph.inputs_of(repeat)
         return LoopAtom(platform, repeat, body_plan, state_producer.id)
-
-    def _forced_body_assignment(
-        self, repeat: PRepeat, platform: "Platform"
-    ) -> dict[int, Choice]:
-        estimates = self.estimator.estimate_plan(repeat.body)
-        assignment: dict[int, Choice] = {}
-        for operator in repeat.body.graph.topological_order():
-            variants = [operator] + list(operator.alternates)
-            supported = [v for v in variants if platform.supports(v)]
-            if not supported:
-                raise OptimizationError(
-                    f"loop body operator {operator.describe()} unsupported "
-                    f"on {platform.name!r}"
-                )
-            in_cards = tuple(
-                estimates[p.id] for p in repeat.body.graph.inputs_of(operator)
-            )
-            best = min(
-                supported,
-                key=lambda v: self._operator_cost(
-                    Choice(v, platform), in_cards, estimates[operator.id]
-                ),
-            )
-            assignment[operator.id] = Choice(best, platform)
-        return assignment
 
     @staticmethod
     def _topological_atoms(atom_deps: list[set[int]]) -> list[int]:
@@ -570,17 +521,17 @@ class MultiPlatformOptimizer:
 
 
 class _AssignmentTable:
-    """The subset-independent inputs of the assignment search for one plan.
+    """One plan's assignment search: priced once, searched in one pass.
 
-    Which platform subset the enumerator is trying changes none of: the
-    topological order and wiring; each operator's (variant, platform)
-    choices over the roster; the cost of running an operator under a
-    choice (a whole loop for ``PRepeat``, which re-estimates its body);
-    or the cost of moving a producer's output between two platforms.
-    The table holds the first two and memoises the last two on first
-    use, so every subset's DP filters and looks up instead of
-    recomputing, and one costing path serves the search, the forced
-    assignment and the reported cost.
+    Operators are held by topological position with their (variant,
+    platform index) choices, priced together on first use; a transfer
+    matrix is priced once per cardinality.  ``states[pos]`` lists the
+    forward DP's ``(p, mask, cost)``: the cheapest way to have operator
+    ``pos``'s output on platform p having started exactly the masked
+    platforms.  The least cost over masks ⊆ S is what a DP confined to
+    subset S computes, so one pass answers every subset.  A state no
+    cheaper than the single-platform state on its platform is dropped:
+    its completions are open to that state with no more start-ups.
     """
 
     def __init__(
@@ -592,114 +543,161 @@ class _AssignmentTable:
     ):
         graph = plan.graph
         self.roster = roster
-        self.order = graph.topological_order()
+        self.order = order = graph.topological_order()
         self._optimizer = optimizer
-        self._estimates = estimates
-        self._inputs = {op.id: graph.inputs_of(op) for op in self.order}
-        self._consumers = {op.id: graph.consumers_of(op) for op in self.order}
-        self._choices = {
-            op.id: [
-                Choice(variant, platform)
-                for variant in [op] + list(op.alternates)
-                for platform in roster
-                if platform.supports(variant)
+        position = {op.id: pos for pos, op in enumerate(order)}
+        self._inputs = [[position[p.id] for p in graph.inputs_of(op)] for op in order]
+        self._consumers = [
+            [position[c.id] for c in graph.consumers_of(op)] for op in order
+        ]
+        self.shared = any(len(c) > 1 for c in self._consumers)  # a DAG
+        self._cards = [estimates[op.id] for op in order]
+        variants = [[op, *op.alternates] for op in order]
+        self.choices = [  # variant-major, so prices() can group by variant
+            [(v, i) for v in vs for i, p in enumerate(roster) if p.supports(v)]
+            for vs in variants
+        ]
+        self._costs: list = [None] * len(order)
+        self._matrices: dict[float, list[list[float]]] = {}
+
+    def prices(self, pos: int) -> list[float]:
+        """The cost of operator ``pos`` under each of its choices."""
+        costs = self._costs[pos]
+        if costs is None:
+            in_cards = tuple([self._cards[j] for j in self._inputs[pos]])
+            costs = self._costs[pos] = []
+            price = self._optimizer._operator_costs
+            for variant, group in groupby(self.choices[pos], itemgetter(0)):
+                platforms = [self.roster[index] for _, index in group]
+                costs += price(variant, platforms, in_cards, self._cards[pos])
+        return costs
+
+    def transfers(self, pos: int) -> list[list[float]]:
+        """``[q][p]``: moving operator ``pos``'s output from q to p."""
+        card = self._cards[pos]
+        matrix = self._matrices.get(card)
+        if matrix is None:
+            transfer_ms = self._optimizer.movement.transfer_ms
+            models = [p.cost_model for p in self.roster]
+            matrix = self._matrices[card] = [
+                [transfer_ms(source, target, card) for target in models]
+                for source in models
             ]
-            for op in self.order
-        }
-        self._operator_costs: dict[tuple[int, int, str], float] = {}
-        self._transfers: dict[tuple[str, str, int], float] = {}
+        return matrix
 
-    def operator_cost(self, operator: PhysicalOperator, choice: Choice) -> float:
-        key = (operator.id, *choice.key)
-        cost = self._operator_costs.get(key)
-        if cost is None:
-            in_cards = tuple(
-                self._estimates[p.id] for p in self._inputs[operator.id]
-            )
-            cost = self._optimizer._operator_cost(
-                choice, in_cards, self._estimates[operator.id]
-            )
-            self._operator_costs[key] = cost
-        return cost
-
-    def transfer(
-        self,
-        producer: PhysicalOperator,
-        source: "Platform",
-        target: "Platform",
-    ) -> float:
-        key = (source.name, target.name, producer.id)
-        cost = self._transfers.get(key)
-        if cost is None:
-            cost = self._optimizer.movement.transfer_ms(
-                source.cost_model, target.cost_model, self._estimates[producer.id]
-            )
-            self._transfers[key] = cost
-        return cost
-
-    def assign(self, platforms: "list[Platform]") -> dict[int, Choice]:
-        """The DP's assignment when only ``platforms`` may be used."""
-        names = {p.name for p in platforms}
-        # Forward DP: cheapest way to have each operator's output available
-        # under each choice.
-        dp: dict[int, list[tuple[Choice, float]]] = {}
-        for operator in self.order:
-            options = [
-                c for c in self._choices[operator.id] if c.platform.name in names
-            ]
-            if not options:
-                raise OptimizationError(
-                    f"no platform supports {operator.describe()} "
-                    f"(or any of its variants)"
+    def unsupported(self, mask: int) -> OptimizationError | None:
+        """The error for the first operator no platform in ``mask`` runs."""
+        for op, choices in zip(self.order, self.choices):
+            if not any(mask >> p & 1 for _, p in choices):
+                return OptimizationError(
+                    f"no platform supports {op.describe()} (or any of its variants)"
                 )
-            entries: list[tuple[Choice, float]] = []
-            for choice in options:
-                cost = self.operator_cost(operator, choice)
-                for producer in self._inputs[operator.id]:
-                    cost += min(
-                        made_cost
-                        + self.transfer(producer, made.platform, choice.platform)
-                        for made, made_cost in dp[producer.id]
-                    )
-                entries.append((choice, cost))
-            dp[operator.id] = entries
+        return None
 
-        # Reverse pass: commit one choice per operator, preferring choices
-        # cheap for the already-committed consumers.
+    def search(self) -> tuple[list, dict[int, float]]:
+        """The forward DP: per-operator states and, per final mask, the
+        plan's cost plus the masked platforms' start-ups."""
+        n = len(self.roster)
+        low = (1 << n) - 1
+        states: list[list[tuple[int, int, float]]] = []
+        for pos, choices in enumerate(self.choices):
+            inputs = self._inputs[pos]
+            best: dict[int, float] = {}  # p << n | mask -> cost
+            get = best.get
+            for (_, p), cost in zip(choices, self.prices(pos)):
+                if len(inputs) == 1:  # a chain link, the common case
+                    move, key = self.transfers(inputs[0]), p << n | 1 << p
+                    for q, mask, value in states[inputs[0]]:
+                        total = cost + (value + move[q][p])
+                        if total < get(key | mask, _INF):
+                            best[key | mask] = total
+                    continue
+                acc = {1 << p: cost}
+                for j in inputs:
+                    acc = _add(acc, states[j], self.transfers(j), p)
+                for mask, total in acc.items():
+                    if total < get(p << n | mask, _INF):
+                        best[p << n | mask] = total
+            alone = [get(p << n | 1 << p, _INF) for p in range(n)]
+            states.append(
+                [
+                    (key >> n, key & low, total)
+                    for key, total in best.items()
+                    if total < alone[key >> n] or key & low == 1 << (key >> n)
+                ]
+            )
+        final = {0: 0.0}
+        for pos, consumers in enumerate(self._consumers):
+            if not consumers:
+                final = _add(final, states[pos])
+        totals = {mask: self._started(final[mask], mask) for mask in sorted(final)}
+        return states, totals
+
+    def _started(self, total: float, mask: int) -> float:
+        """``total`` plus the masked platforms' start-ups, in roster order."""
+        for index, platform in enumerate(self.roster):
+            if mask >> index & 1:
+                total += platform.cost_model.startup_ms()
+        return total
+
+    def commit(self, states: list, mask: int) -> dict[int, Choice]:
+        """Reverse pass confined to ``mask``: commit one choice per
+        operator, the cheapest including transfers to the consumers
+        already committed."""
+        confined: list = [None] * len(self.order)
+        committed = [0] * len(self.order)
         assignment: dict[int, Choice] = {}
-        for operator in reversed(self.order):
-            consumers = self._consumers[operator.id]
-            best: Choice | None = None
-            best_total = float("inf")
-            for choice, total in dp[operator.id]:
-                for consumer in consumers:
-                    total += self.transfer(
-                        operator, choice.platform, assignment[consumer.id].platform
-                    )
+        for pos in reversed(range(len(self.order))):
+            for j in self._inputs[pos]:
+                if confined[j] is None:
+                    least: dict[int, float] = {}
+                    for q, used, value in states[j]:
+                        if not used & ~mask and value < least.get(q, _INF):
+                            least[q] = value
+                    confined[j] = list(least.items())
+            out = self.transfers(pos)
+            best, best_total = -1, _INF
+            costs = self.prices(pos)
+            for k, (_, p) in enumerate(self.choices[pos]):
+                total = costs[k]
+                if not mask >> p & 1:
+                    continue
+                for j in self._inputs[pos]:
+                    move = self.transfers(j)
+                    total += min([value + move[q][p] for q, value in confined[j]])
+                for consumer in self._consumers[pos]:
+                    total += out[p][committed[consumer]]
                 if total < best_total:
-                    best_total = total
-                    best = choice
-            assert best is not None  # infeasible operators raised above
-            assignment[operator.id] = best
+                    best, best_total = k, total
+            variant, committed[pos] = self.choices[pos][best]
+            platform = self.roster[committed[pos]]
+            assignment[self.order[pos].id] = Choice(variant, platform)
         return assignment
 
     def cost(self, assignment: dict[int, Choice]) -> float:
-        """Exact estimated cost of a committed assignment.
+        """Exact estimated cost of a committed assignment."""
+        total, used, platforms = 0.0, 0, []
+        for pos, op in enumerate(self.order):
+            choice = assignment[op.id]
+            p = self.roster.index(choice.platform)
+            total += self.prices(pos)[self.choices[pos].index((choice.variant, p))]
+            for j in self._inputs[pos]:
+                total += self.transfers(j)[platforms[j]][p]
+            platforms.append(p)
+            used |= 1 << p
+        return self._started(total, used)
 
-        Start-ups are summed in roster order, so the figure never depends
-        on string-hash order.
-        """
-        total = 0.0
-        used: set[str] = set()
-        for operator in self.order:
-            choice = assignment[operator.id]
-            used.add(choice.platform.name)
-            total += self.operator_cost(operator, choice)
-            for producer in self._inputs[operator.id]:
-                total += self.transfer(
-                    producer, assignment[producer.id].platform, choice.platform
-                )
-        for platform in self._optimizer.platforms:
-            if platform.name in used:
-                total += platform.cost_model.startup_ms()
-        return total
+
+_INF = float("inf")
+
+
+def _add(acc: dict[int, float], states: list, move=None, p=0) -> dict[int, float]:
+    """``acc`` plus one producer's states: masks union, costs add, and the
+    output moves to platform ``p`` when a transfer matrix is given."""
+    out: dict[int, float] = {}
+    for mask, value in acc.items():
+        for q, used, cost in states:
+            total = value + (cost + move[q][p] if move else cost)
+            if total < out.get(mask | used, _INF):
+                out[mask | used] = total
+    return out

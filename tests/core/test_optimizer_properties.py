@@ -6,26 +6,42 @@ Invariants checked for every generated plan:
 * the atom schedule is dependency-consistent (producers before consumers);
 * the cost-based plan's results equal the forced-single-platform results;
 * the cost-based estimated cost never exceeds the best single platform's;
-* every platform subset's assignment, cost and infeasibility message from
-  the enumerator's shared table equal an unmemoised per-subset DP's.
+* the one-pass assignment DP picks the same plan at the same cost as the
+  per-subset search it replaced (kept here as the oracle) on every tree,
+  with and without excluded platforms, over the default roster, with
+  opt-in flink added, and under cost models that make plans mix
+  platforms; on every plan it is no worse than the best single platform
+  and raises the oracle's error when nothing is feasible.
 """
 
-import math
-
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import RheemContext
 from repro.core.execution.plan import LoopAtom, TaskAtom
-from repro.core.optimizer.enumerator import Choice, _AssignmentTable
+from repro.core.optimizer.cost import MovementCostModel
+from repro.core.optimizer.enumerator import Choice
 from repro.core.physical.fusion import PFusedPipeline
 from repro.errors import OptimizationError
+from repro.platforms import (
+    JavaPlatform,
+    PostgresPlatform,
+    SparkPlatform,
+    default_platforms,
+)
+from repro.platforms.flink import FlinkPlatform
+from repro.platforms.java.platform import JavaCostModel
+from repro.platforms.postgres.platform import PostgresCostModel
 
 
 @st.composite
 def random_plans(draw):
-    """A random chain with optional binary tail over small int data."""
+    """A random chain with an optional binary tail over small int data.
+
+    The ``self_*`` tails consume the chain twice, so its last operator
+    has two consumers and the plan is a DAG rather than a tree.
+    """
     data = draw(st.lists(st.integers(-9, 9), min_size=0, max_size=20))
     chain = draw(
         st.lists(
@@ -36,7 +52,9 @@ def random_plans(draw):
             max_size=5,
         )
     )
-    binary = draw(st.sampled_from([None, "union", "join", "cross"]))
+    binary = draw(
+        st.sampled_from([None, "union", "join", "cross", "self_union", "self_join"])
+    )
     return data, chain, binary
 
 
@@ -78,7 +96,16 @@ def build(ctx, spec):
         )
     elif binary == "cross":
         dq = dq.limit(3).cross(ctx.collection(data[:3]))
+    elif binary == "self_union":  # the chain's last operator feeds two
+        dq = dq.map(lambda x: x).union(dq.filter(lambda x: _num(x) > 0))
+    elif binary == "self_join":
+        keyed = dq.map(lambda x: (_num(x) % 4, x))
+        dq = keyed.join(keyed.filter(lambda kv: kv[0] > 0), _KEY, _KEY)
     return dq
+
+
+def _KEY(kv):
+    return kv[0]
 
 
 def _num(x):
@@ -157,13 +184,14 @@ def test_estimated_cost_at_most_best_single_platform(spec):
 
 
 # ----------------------------------------------------------------------
-# the enumerator's table against an unmemoised per-subset DP
+# the one-pass assignment DP against the per-subset search it replaced
 # ----------------------------------------------------------------------
 def reference_assignment(optimizer, plan, estimates, platforms):
-    """Forward DP then reverse commit, recomputing every cost."""
+    """Forward DP then reverse commit confined to ``platforms``,
+    recomputing every cost."""
     graph = plan.graph
     order = graph.topological_order()
-    dp, choice_objects = {}, {}
+    dp = {}
     for operator in order:
         in_cards = tuple(estimates[p.id] for p in graph.inputs_of(operator))
         choices = [
@@ -177,95 +205,197 @@ def reference_assignment(optimizer, plan, estimates, platforms):
                 f"no platform supports {operator.describe()} "
                 f"(or any of its variants)"
             )
-        dp[operator.id], choice_objects[operator.id] = {}, {}
+        dp[operator.id] = []
         for choice in choices:
-            cost = optimizer._operator_cost(
-                choice, in_cards, estimates[operator.id]
+            (cost,) = optimizer._operator_costs(
+                choice.variant, [choice.platform], in_cards, estimates[operator.id]
             )
             for producer in graph.inputs_of(operator):
                 cost += min(
-                    dp[producer.id][key]
+                    made_cost
                     + optimizer.movement.transfer_ms(
-                        choice_objects[producer.id][key].platform.cost_model,
+                        made.platform.cost_model,
                         choice.platform.cost_model,
                         estimates[producer.id],
                     )
-                    for key in dp[producer.id]
+                    for made, made_cost in dp[producer.id]
                 )
-            dp[operator.id][choice.key] = cost
-            choice_objects[operator.id][choice.key] = choice
+            dp[operator.id].append((choice, cost))
     assignment = {}
     for operator in reversed(order):
-        best_key, best_total = None, float("inf")
-        for key, total in dp[operator.id].items():
-            platform = choice_objects[operator.id][key].platform
+        best, best_total = None, float("inf")
+        for choice, total in dp[operator.id]:
             for consumer in graph.consumers_of(operator):
                 total += optimizer.movement.transfer_ms(
-                    platform.cost_model,
+                    choice.platform.cost_model,
                     assignment[consumer.id].platform.cost_model,
                     estimates[operator.id],
                 )
             if total < best_total:
-                best_key, best_total = key, total
-        assignment[operator.id] = choice_objects[operator.id][best_key]
+                best, best_total = choice, total
+        assignment[operator.id] = best
     return assignment
 
 
-def reference_cost(optimizer, plan, estimates, assignment):
+def reference_cost(optimizer, plan, estimates, assignment, roster):
+    """Exact cost of ``assignment``; start-ups in roster order."""
     graph = plan.graph
     total = 0.0
-    used = {}
     for operator in graph.topological_order():
         choice = assignment[operator.id]
-        used[choice.platform.name] = choice.platform
         in_cards = tuple(estimates[p.id] for p in graph.inputs_of(operator))
-        total += optimizer._operator_cost(
-            choice, in_cards, estimates[operator.id]
-        )
+        total += optimizer._operator_costs(
+            choice.variant, [choice.platform], in_cards, estimates[operator.id]
+        )[0]
         for producer in graph.inputs_of(operator):
             total += optimizer.movement.transfer_ms(
                 assignment[producer.id].platform.cost_model,
                 choice.platform.cost_model,
                 estimates[producer.id],
             )
-    return total + sum(p.cost_model.startup_ms() for p in used.values())
+    used = {choice.platform.name for choice in assignment.values()}
+    for platform in roster:
+        if platform.name in used:
+            total += platform.cost_model.startup_ms()
+    return total
 
 
-def assert_table_matches_reference(ctx, physical):
-    optimizer = ctx.task_optimizer
-    estimates = optimizer.estimator.estimate_plan(physical)
-    roster = optimizer.platforms
-    table = _AssignmentTable(optimizer, physical, estimates, roster)
+def subset_search(optimizer, plan, estimates, roster):
+    """The search the one-pass DP replaced: the DP once per non-empty
+    roster subset, the exact cost (start-ups included) picking the
+    winner, the lowest subset on a tie."""
+    best, best_cost = None, float("inf")
     for mask in range(1, 1 << len(roster)):
         subset = [p for i, p in enumerate(roster) if mask & (1 << i)]
         try:
-            expected = reference_assignment(optimizer, physical, estimates, subset)
-        except OptimizationError as error:
-            with pytest.raises(OptimizationError) as raised:
-                table.assign(subset)
-            assert str(raised.value) == str(error)
+            candidate = reference_assignment(optimizer, plan, estimates, subset)
+        except OptimizationError:
             continue
-        got = table.assign(subset)
-        assert {k: c.key for k, c in got.items()} == {
-            k: c.key for k, c in expected.items()
-        }
-        assert math.isclose(
-            table.cost(got),
-            reference_cost(optimizer, physical, estimates, expected),
-            rel_tol=1e-9,
+        cost = reference_cost(optimizer, plan, estimates, candidate, roster)
+        if cost < best_cost:
+            best, best_cost = candidate, cost
+    if best is None:
+        # Every subset is infeasible: raise the full roster's message.
+        reference_assignment(optimizer, plan, estimates, roster)
+    return best, best_cost
+
+
+def _keys(assignment):
+    return {
+        op_id: (c.variant.id, c.platform.name) for op_id, c in assignment.items()
+    }
+
+
+def _mixing_context():
+    """ABL2's cost models plus flink: cheap start-ups and movement,
+    relational work cheap on postgres and UDFs cheap in-process, so plans
+    mix platforms and some subsets' states beat the winner's."""
+    return RheemContext(
+        platforms=[
+            JavaPlatform(cost_model=JavaCostModel(startup=5.0)),
+            PostgresPlatform(
+                cost_model=PostgresCostModel(
+                    startup=5.0, relational_unit_ms=0.00001, udf_unit_ms=0.05
+                )
+            ),
+            SparkPlatform(),
+            FlinkPlatform(),
+        ],
+        movement=MovementCostModel(per_transfer_ms=0.5, per_quantum_ms=0.0005),
+    )
+
+
+#: name -> (context factory, input scale); the mixing models only mix
+#: once inputs are large enough for per-quantum costs to matter
+CONTEXTS = {
+    "default": (RheemContext, 1),
+    "with_flink": (
+        lambda: RheemContext(platforms=default_platforms() + [FlinkPlatform()]),
+        1,
+    ),
+    "mixing": (_mixing_context, 1000),
+}
+
+
+def _physical(name, spec):
+    factory, scale = CONTEXTS[name]
+    ctx = factory()
+    data, chain, binary = spec
+    return ctx, ctx.app_optimizer.optimize(
+        build(ctx, (data * scale, chain, binary)).plan
+    )
+
+
+def assert_matches_subset_search(ctx, physical, exclude=frozenset()):
+    """The DP's plan against the subset search over the same roster:
+    identical on trees, never worse than one platform on any plan, and
+    the same error when nothing is feasible."""
+    optimizer = ctx.task_optimizer
+    estimates = optimizer.estimator.estimate_plan(physical)
+    roster = [p for p in optimizer.platforms if p.name not in exclude]
+    try:
+        expected, expected_cost = subset_search(
+            optimizer, physical, estimates, roster
         )
+    except OptimizationError as error:
+        with pytest.raises(OptimizationError) as raised:
+            optimizer.estimated_plan_cost(physical, exclude_platforms=exclude)
+        assert str(raised.value) == str(error)
+        return
+    got = optimizer._assignment(physical, estimates, None, exclude)
+    cost = optimizer.estimated_plan_cost(physical, exclude_platforms=exclude)
+    assert cost == optimizer._cost(physical, estimates, got)
+    graph = physical.graph
+    if all(len(graph.consumers_of(op)) <= 1 for op in graph):
+        assert _keys(got) == _keys(expected)
+        assert cost == expected_cost
+    singles = []
+    for platform in roster:
+        try:
+            singles.append(
+                optimizer.estimated_plan_cost(
+                    physical, platform.name, exclude_platforms=exclude
+                )
+            )
+        except OptimizationError:
+            continue
+    assert not singles or cost <= min(singles) + 1e-9
+
+
+@settings(max_examples=90, deadline=None)
+@given(random_plans(), st.sampled_from(sorted(CONTEXTS)))
+# mixed winners whose producers are cheaper outside the winner's mask: the
+# reverse pass must read only producer states confined to that mask
+@example(spec=([0] * 15, ["map", "filter", "sort"], "union"), context="mixing")
+@example(
+    spec=(
+        [6, -8, 0, -4, -1, 3, -1, -6, -1, -9, -6, -6],
+        ["flatmap", "limit", "distinct"],
+        "union",
+    ),
+    context="mixing",
+)
+def test_one_pass_dp_matches_subset_search(spec, context):
+    ctx, physical = _physical(context, spec)
+    assert_matches_subset_search(ctx, physical)
 
 
 @settings(max_examples=60, deadline=None)
-@given(random_plans())
-def test_table_matches_unmemoised_dp_on_every_subset(spec):
-    ctx = RheemContext()
-    physical = ctx.app_optimizer.optimize(build(ctx, spec).plan)
-    assert_table_matches_reference(ctx, physical)
+@given(random_plans(), st.sampled_from(sorted(CONTEXTS)), st.data())
+def test_one_pass_dp_matches_subset_search_with_exclusions(spec, context, data):
+    ctx, physical = _physical(context, spec)
+    names = [p.name for p in ctx.task_optimizer.platforms]
+    exclude = frozenset(
+        data.draw(
+            st.lists(st.sampled_from(names), min_size=1, max_size=len(names) - 1)
+        )
+    )
+    assert_matches_subset_search(ctx, physical, exclude)
 
 
-def test_table_matches_unmemoised_dp_with_a_loop():
-    ctx = RheemContext()
+@pytest.mark.parametrize("context", sorted(CONTEXTS))
+def test_one_pass_dp_matches_subset_search_with_a_loop(context):
+    ctx = CONTEXTS[context][0]()
     points = ctx.collection([float(i) for i in range(40)])
     looped = ctx.collection([0.0, 10.0]).repeat(
         3,
@@ -276,4 +406,16 @@ def test_table_matches_unmemoised_dp_with_a_loop():
     )
     physical = ctx.app_optimizer.optimize(looped.plan)
     assert any(op.kind == "repeat" for op in physical.graph)
-    assert_table_matches_reference(ctx, physical)
+    assert_matches_subset_search(ctx, physical)
+    assert_matches_subset_search(ctx, physical, frozenset({"java"}))
+
+
+def test_nothing_feasible_raises_the_subset_search_error():
+    ctx = RheemContext()
+    handle = ctx.collection(["a b", "c"]).flat_map(str.split)
+    physical = ctx.app_optimizer.optimize(handle.plan)
+    with pytest.raises(OptimizationError, match="no platform supports PFlatMap"):
+        ctx.task_optimizer.estimated_plan_cost(
+            physical, exclude_platforms={"java", "spark"}
+        )
+    assert_matches_subset_search(ctx, physical, frozenset({"java", "spark"}))
