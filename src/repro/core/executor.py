@@ -29,6 +29,7 @@ Coping with failures is a three-rung ladder (see
 
 from __future__ import annotations
 
+import gc
 import os
 import threading
 import time
@@ -93,6 +94,48 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.core.optimizer.calibration import CalibrationStore
     from repro.core.optimizer.enumerator import MultiPlatformOptimizer
     from repro.platforms.base import Platform
+
+
+class _CollectorDeferral:
+    """The cyclic collector's one policy: deferred while any run executes.
+
+    Kernels allocate acyclic containers by the thousand, which the
+    collector would re-scan hundreds of times per run.  The first run in
+    disables it, the last out re-enables it; thresholds stay as they are.
+    Each run pays for its own garbage on exit, on its own thread, with at
+    most one pass over the oldest generation over its threshold, so runs
+    that overlap without pause still free cyclic garbage.  A caller who
+    disabled the collector is left alone.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._runs = 0
+        self._was_enabled = False
+
+    def enter(self) -> None:
+        with self._lock:
+            if self._runs == 0:
+                self._was_enabled = gc.isenabled()
+                gc.disable()
+            self._runs += 1
+
+    def exit(self) -> None:
+        # ``_was_enabled`` cannot change while this run is counted in.
+        # The pass runs outside the lock: a finalizer may start a run.
+        try:
+            if self._was_enabled and (limit := gc.get_threshold())[0]:
+                over = [g for g, n in enumerate(gc.get_count()) if n > limit[g]]
+                if over:
+                    gc.collect(over[-1])
+        finally:
+            with self._lock:
+                self._runs -= 1
+                if self._runs == 0 and self._was_enabled:
+                    gc.enable()
+
+
+_COLLECTOR = _CollectorDeferral()
 
 
 @dataclass
@@ -304,6 +347,7 @@ class Executor:
         profiler = self._profiler
         if profiler is not None:
             profiler.attach()
+        _COLLECTOR.enter()
         try:
             self._emit(
                 EXECUTION_STARTED,
@@ -402,6 +446,7 @@ class Executor:
         finally:
             if profiler is not None:
                 profiler.detach()
+            _COLLECTOR.exit()
             if span is not None:
                 tracer.end_span(span)
 

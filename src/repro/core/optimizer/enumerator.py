@@ -206,7 +206,13 @@ class MultiPlatformOptimizer:
     ) -> list[float]:
         """``variant``'s cost on each of ``platforms``."""
         if isinstance(variant, PRepeat):
-            return [self._loop_cost(variant, p, input_cards) for p in platforms]
+            # One body estimate, seeded with the loop-state cardinality,
+            # serves every platform's price.
+            state_card = input_cards[0] if input_cards else 1.0
+            body_estimates = self.estimator.estimate_plan(
+                variant.body, seeds={variant.body_input.id: state_card}
+            )
+            return [self._loop_cost(variant, p, body_estimates) for p in platforms]
         cost_input = OperatorCostInput(
             kind=variant.kind,
             input_cards=input_cards,
@@ -219,18 +225,15 @@ class MultiPlatformOptimizer:
         self,
         repeat: PRepeat,
         platform: "Platform",
-        input_cards: tuple[float, ...],
+        body_estimates: dict[int, float],
     ) -> float:
-        """Estimated cost of the whole loop on ``platform``.
+        """Estimated cost of the whole loop on ``platform``, given the
+        body's cardinality estimates.
 
         Body cost is the per-iteration sum of the cheapest supported
         variant of every body operator; loop-invariant sources pay full
         price once and cache-read price afterwards.
         """
-        state_card = input_cards[0] if input_cards else 1.0
-        body_estimates = self.estimator.estimate_plan(
-            repeat.body, seeds={repeat.body_input.id: state_card}
-        )
         iterations = max(1, repeat.iteration_bound)
         model = platform.cost_model
         per_iteration = model.loop_iteration_ms()
@@ -301,13 +304,15 @@ class MultiPlatformOptimizer:
                     f"platform {platform.name!r} does not support "
                     f"{operator.describe()}"
                 )
-            in_cards = tuple(estimates[p.id] for p in graph.inputs_of(operator))
-            best = min(
-                supported,
-                key=lambda v: self._operator_costs(
-                    v, [platform], in_cards, estimates[operator.id]
-                )[0],
-            )
+            best = supported[0]
+            if len(supported) > 1:
+                in_cards = tuple(estimates[p.id] for p in graph.inputs_of(operator))
+                best = min(
+                    supported,
+                    key=lambda v: self._operator_costs(
+                        v, [platform], in_cards, estimates[operator.id]
+                    )[0],
+                )
             assignment[operator.id] = Choice(best, platform)
         return assignment
 

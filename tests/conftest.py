@@ -25,11 +25,14 @@ def _gc_callbacks() -> list:
 
 @pytest.fixture(autouse=True)
 def no_leaked_profiler_hooks():
-    """Fail a test that leaves ``tracemalloc`` tracing or a GC callback
-    behind, then undo the leak so later tests run as they would alone.
+    """Fail a test that leaves ``tracemalloc`` tracing, a GC callback or
+    the cyclic collector disabled behind, then undo the leak so later
+    tests run as they would alone.
 
-    A profiled run owns those process-wide hooks only while it executes;
-    one left attached slows every later test several times over.
+    A profiled run owns those process-wide hooks only while it executes,
+    and a run defers the collector only while it executes; one left
+    attached slows every later test several times over, and a collector
+    left off lets every later test's cyclic garbage pile up.
     """
     callbacks_before = _gc_callbacks()
     yield
@@ -42,6 +45,9 @@ def no_leaked_profiler_hooks():
         for callback in added:
             gc.callbacks.remove(callback)
         leaks.append(f"{len(added)} gc callback(s) left installed")
+    if not gc.isenabled():
+        gc.enable()
+        leaks.append("the cyclic collector is still disabled")
     if leaks:
         pytest.fail("leaked process-wide hooks: " + "; ".join(leaks))
 

@@ -14,6 +14,7 @@ from repro.core.logical.operators import (
 from repro.core.logical.plan import LogicalPlan
 from repro.core.execution.plan import LoopAtom, TaskAtom
 from repro.core.optimizer.application import ApplicationOptimizer
+from repro.core.optimizer.cardinality import CardinalityEstimator
 from repro.core.optimizer.cost import FreeMovementCostModel, MovementCostModel
 from repro.core.optimizer.enumerator import MultiPlatformOptimizer
 from repro.core.physical.operators import PHashGroupBy, PSortGroupBy
@@ -212,6 +213,26 @@ class TestCosts:
         few = optimizer.estimated_plan_cost(physical_for(loop_plan(2)), "java")
         many = optimizer.estimated_plan_cost(physical_for(loop_plan(50)), "java")
         assert many > few
+
+    def test_loop_body_estimated_once_per_pricing(self, platforms, monkeypatch):
+        """Every platform's loop price comes off one seeded body estimate,
+        a pinned loop is not priced at all, and atom cutting estimates
+        the body once more, unseeded."""
+        seeds_seen = []
+        estimate_plan = CardinalityEstimator.estimate_plan
+
+        def counting(self, plan, seeds=None):
+            seeds_seen.append(seeds)
+            return estimate_plan(self, plan, seeds)
+
+        monkeypatch.setattr(CardinalityEstimator, "estimate_plan", counting)
+        optimizer = MultiPlatformOptimizer(platforms)
+        optimizer.optimize(physical_for(loop_plan(5)))
+        body = seeds_seen[1:]  # the first call estimates the whole plan
+        assert len(body) == 2 and body[0] and body[1] is None
+        seeds_seen.clear()
+        optimizer.optimize(physical_for(loop_plan(5)), forced_platform="java")
+        assert seeds_seen[1:] == [None]
 
 
 def test_explain_execution_plan(platforms):
