@@ -155,10 +155,11 @@ class FDRule(Rule):
         self.rule_id = rule_id
         self.lhs = tuple(lhs)
         self.rhs = tuple(rhs)
+        self._scope_fields = self.lhs + self.rhs
 
     def scope(self, item: TupleWithId) -> TupleWithId:
         tid, record = item
-        return (tid, record.project(list(self.lhs + self.rhs)))
+        return (tid, record.project(self._scope_fields))
 
     def block(self, item: TupleWithId) -> Any:
         _, record = item
@@ -215,6 +216,8 @@ class DCRule(Rule):
         self.residual = tuple(
             p for p in self.predicates if p not in self.equalities
         )
+        self._scope_fields = tuple(dict.fromkeys(  # first-mention order
+            f for p in self.predicates for f in (p.left_field, p.right_field)))
 
     @property
     def inequality_pair(self) -> tuple[Predicate, Predicate] | None:
@@ -225,12 +228,7 @@ class DCRule(Rule):
 
     def scope(self, item: TupleWithId) -> TupleWithId:
         tid, record = item
-        fields: list[str] = []
-        for predicate in self.predicates:
-            for field in (predicate.left_field, predicate.right_field):
-                if field not in fields:
-                    fields.append(field)
-        return (tid, record.project(fields))
+        return (tid, record.project(self._scope_fields))
 
     def block(self, item: TupleWithId) -> Any:
         _, record = item
@@ -283,7 +281,7 @@ class UniqueRule(Rule):
 
     def scope(self, item: TupleWithId) -> TupleWithId:
         tid, record = item
-        return (tid, record.project(list(self.fields)))
+        return (tid, record.project(self.fields))
 
     def block(self, item: TupleWithId) -> Any:
         _, record = item
@@ -339,7 +337,7 @@ class NullRule(Rule):
 
     def scope(self, item: TupleWithId) -> TupleWithId:
         tid, record = item
-        return (tid, record.project(list(self.fields)))
+        return (tid, record.project(self.fields))
 
     def detect_single(self, item: TupleWithId) -> list[Violation]:
         tid, record = item

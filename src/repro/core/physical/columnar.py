@@ -154,12 +154,10 @@ def column_predicate(index: int, fn: Callable[[Any], Any]) -> ColumnPredicate:
     return ColumnPredicate(index, fn)
 
 
-#: binary combines a ColumnwiseReduce may apply per value column
-_COMBINES: dict[str, Callable[[Any, Any], Any]] = {
-    "sum": lambda a, b: a + b,
-    "min": min,
-    "max": max,
-}
+#: each rule's term in a ColumnwiseReduce's generated pairwise combine
+#: (``{j}`` is the column)
+_TERMS = {"key": "a[{j}]", "sum": "a[{j}] + b[{j}]",
+          "min": "min(a[{j}], b[{j}])", "max": "max(a[{j}], b[{j}])"}
 
 
 class ColumnwiseReduce:
@@ -167,29 +165,47 @@ class ColumnwiseReduce:
 
     ``spec`` names, per tuple position, either ``"key"`` (kept from the
     first quantum of the group — the usual reduce-by-key contract) or a
-    combine from ``sum``/``min``/``max``.  Row mode folds tuples
-    pairwise; the columnar sweep in :func:`native_reduce_by` updates
-    per-column accumulators straight from the buffers, applying the
-    identical combine in the identical left-fold order — byte-identical
-    results, no row tuples until the (small) output is assembled.
+    combine from ``sum``/``min``/``max``.  The pairwise combine is
+    generated once, in ``__init__``: spec ``("key", "sum")`` compiles to
+    ``lambda a, b: (a[0], a[1] + b[1])``.  Row mode folds tuples through
+    it, and the hash reduce-by through ``fold(pairs, acc)``, a generated
+    loop over ``(key, quantum)`` pairs with the same expressions inlined;
+    the columnar sweep in :func:`native_reduce_by` runs the same loop
+    over the buffers' values zipped into rows — byte-identical results.
     """
 
-    __slots__ = ("spec",)
+    __slots__ = ("spec", "combine", "fold")
 
     def __init__(self, spec: Sequence[str]):
         for entry in spec:
-            if entry != "key" and entry not in _COMBINES:
+            if entry not in _TERMS:
                 raise ValueError(
                     f"unknown columnwise combine {entry!r}; "
-                    f"expected 'key' or one of {sorted(_COMBINES)}"
+                    f"expected 'key' or one of {sorted(_TERMS.keys() - {'key'})}"
                 )
         self.spec = tuple(spec)
+        terms = [_TERMS[rule].format(j=j) for j, rule in enumerate(self.spec)]
+        body = ", ".join(terms) + ("," if len(terms) == 1 else "")
+        namespace: dict[str, Any] = {}
+        exec(compile(
+            f"combine = lambda a, b: ({body})\n"
+            "def fold(pairs, acc):\n"
+            "    for k, b in pairs:\n"
+            "        try:\n"
+            "            a = acc[k]\n"
+            "        except KeyError:\n"
+            "            acc[k] = b\n"
+            "        else:\n"
+            f"            acc[k] = ({body})\n",
+            repr(self), "exec"), namespace)
+        self.combine = namespace.pop("combine")
+        self.fold = namespace.pop("fold")
 
     def __call__(self, a: Any, b: Any) -> Any:
-        return tuple(
-            a[j] if rule == "key" else _COMBINES[rule](a[j], b[j])
-            for j, rule in enumerate(self.spec)
-        )
+        return self.combine(a, b)
+
+    def __reduce__(self) -> tuple:
+        return (ColumnwiseReduce, (self.spec,))
 
     def __repr__(self) -> str:
         return f"ColumnwiseReduce({self.spec!r})"
@@ -319,9 +335,9 @@ def native_reduce_by(
     """Columnwise reduce-by sweep over the buffers; None if ineligible.
 
     Requires a single-column key and a :class:`ColumnwiseReduce`
-    reducer.  Accumulators live per column in plain Python numbers (so
-    int64 overflow behaves exactly like row mode — unbounded Python
-    ints), updated straight from the buffers in row order.  The output
+    reducer, whose generated loop folds the buffers' values (plain
+    Python numbers, so int64 overflow behaves exactly like row mode —
+    unbounded Python ints) in row order, as the row path does.  The output
     (one quantum per distinct key, first-appearance order) is assembled
     as a batch when it still fits the int64/double layout, rows
     otherwise — mirroring ``ColumnarChannel.from_rows`` rejection.
@@ -336,38 +352,21 @@ def native_reduce_by(
     ):
         return None
     note_kernel("reduceby.hash.columnar")
-    spec = reducer.spec
     columns = batch.columns
-    combines = [
-        None if rule == "key" else _COMBINES[rule] for rule in spec
-    ]
-    accumulators: dict[Any, list[Any]] = {}
-    key_col = columns[index]
-    width = batch.width
-    for position, group_key in enumerate(key_col):
-        acc = accumulators.get(group_key)
-        if acc is None:
-            accumulators[group_key] = [
-                columns[j][position] for j in range(width)
-            ]
-        else:
-            for j, combine in enumerate(combines):
-                if combine is not None:
-                    acc[j] = combine(acc[j], columns[j][position])
+    accumulators: dict[Any, tuple] = {}
+    reducer.fold(zip(columns[index], zip(*columns)), accumulators)
     if not accumulators:
         return []
     grouped = list(accumulators.values())
     try:
         out = [
-            array.array(
-                columns[j].typecode, [acc[j] for acc in grouped]
-            )
-            for j in range(width)
+            array.array(column.typecode, values)
+            for column, values in zip(columns, zip(*grouped))
         ]
     except (OverflowError, TypeError):
         # Combined values escaped the int64/double layout: fall back to
         # rows, exactly like from_rows would reject them at a boundary.
-        return [tuple(acc) for acc in grouped]
+        return grouped
     return ColumnarBatch(out, False, len(grouped))
 
 

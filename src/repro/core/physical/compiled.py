@@ -14,7 +14,8 @@ plan, never of which kernel ran.
 from __future__ import annotations
 
 import threading
-from itertools import chain
+from itertools import chain, compress
+from operator import itemgetter
 from typing import Any, Callable, Iterable
 
 #: thread-local scratch slot recording which batch kernel last engaged
@@ -75,6 +76,8 @@ def batch_filter(
 
     Single-column predicates over a columnar batch run as one mask pass
     over the predicate column; ineligible predicates fall back to rows.
+    Over rows, a declared single-column predicate (``ColumnPredicate``,
+    bare ``itemgetter(i)``) also runs as a mask pass: the loop stays in C.
     """
     if getattr(data, "is_columnar_batch", False):
         native = _columnar_mod().native_filter(predicate, data)
@@ -82,7 +85,12 @@ def batch_filter(
             return native
         data = data.rows()
     note_kernel("filter.batch")
-    return list(filter(predicate, data))
+    spec = _columnar_mod().predicate_spec(predicate)
+    if spec is None:
+        return list(filter(predicate, data))
+    rows = data if isinstance(data, list) else list(data)
+    mask = map(itemgetter(spec[0]), rows)
+    return list(compress(rows, mask if spec[1] is None else map(spec[1], mask)))
 
 
 def batch_flatmap(

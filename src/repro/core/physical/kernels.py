@@ -100,6 +100,10 @@ def hash_reduce_by(
     keys, rows, native = _key_build(items, key)
     note_kernel("reduceby.hash.columnar" if native else "reduceby.hash.batch")
     accumulators: dict[Any, Any] = {}
+    if isinstance(reducer, columnar.ColumnwiseReduce):
+        # a declared reducer runs its generated loop, combine inlined
+        reducer.fold(zip(keys, rows), accumulators)
+        return list(accumulators.values())
     for item_key, item in zip(keys, rows):
         if item_key in accumulators:
             accumulators[item_key] = reducer(accumulators[item_key], item)
@@ -121,6 +125,8 @@ def global_reduce(items: Iterable[Any], reducer: Callable[[Any, Any], Any]) -> l
         note_kernel("reduce.global.columnar")
     else:
         note_kernel("reduce.global.batch")
+    if isinstance(reducer, columnar.ColumnwiseReduce):
+        reducer = reducer.combine  # the compiled combine, no wrapper frame
     return [_reduce(reducer, iterator, accumulator)]
 
 

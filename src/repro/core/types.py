@@ -34,7 +34,7 @@ class Schema:
     formats and relational operators to check compatibility cheaply.
     """
 
-    __slots__ = ("_fields", "_index")
+    __slots__ = ("_fields", "_index", "_projections")
 
     def __init__(self, fields: Sequence[str]):
         if len(set(fields)) != len(fields):
@@ -43,6 +43,16 @@ class Schema:
             raise ValidationError("a schema needs at least one field")
         self._fields: tuple[str, ...] = tuple(fields)
         self._index: dict[str, int] = {name: i for i, name in enumerate(self._fields)}
+        #: project() memo per field tuple; derived, so never pickled
+        self._projections: dict[tuple, tuple["Schema", tuple[int, ...]]] = {}
+
+    def __getstate__(self) -> tuple:
+        # the slot state earlier versions wrote, so pickles stay byte-identical
+        return (None, {"_fields": self._fields, "_index": self._index})
+
+    def __setstate__(self, state: tuple) -> None:
+        self._fields, self._index = state[1]["_fields"], state[1]["_index"]
+        self._projections = {}
 
     @property
     def fields(self) -> tuple[str, ...]:
@@ -63,10 +73,17 @@ class Schema:
             ) from None
 
     def project(self, fields: Sequence[str]) -> "Schema":
-        """Return a new schema restricted to ``fields`` (kept in given order)."""
-        for field in fields:
-            self.index_of(field)
-        return Schema(fields)
+        """Return the schema restricted to ``fields`` (kept in given order)."""
+        return self._projection(fields)[0]
+
+    def _projection(self, fields: Sequence[str]) -> tuple["Schema", tuple[int, ...]]:
+        """``(projected schema, source positions)``, built once per field tuple."""
+        key = tuple(fields)
+        hit = self._projections.get(key)
+        if hit is None:
+            positions = tuple(map(self.index_of, key))
+            hit = self._projections[key] = (Schema(key), positions)
+        return hit
 
     def record(self, *values: Any) -> "Record":
         """Build a :class:`Record` of this schema from positional values."""
@@ -120,6 +137,12 @@ class Record:
         self.values = values
 
     def __getitem__(self, field: str | int) -> Any:
+        if type(field) is int:
+            return self.values[field]
+        try:  # a name: one dict lookup
+            return self.values[self.schema._index[field]]
+        except KeyError:  # an int subclass (bool), or unknown
+            pass
         if isinstance(field, int):
             return self.values[field]
         return self.values[self.schema.index_of(field)]
@@ -138,8 +161,8 @@ class Record:
 
     def project(self, fields: Sequence[str]) -> "Record":
         """Return a record holding only ``fields`` (with a projected schema)."""
-        schema = self.schema.project(fields)
-        return Record(schema, tuple(self[f] for f in fields))
+        schema, positions = self.schema._projection(fields)
+        return Record(schema, tuple(map(self.values.__getitem__, positions)))
 
     def as_dict(self) -> dict[str, Any]:
         """Return the record as a plain ``dict`` (field → value)."""

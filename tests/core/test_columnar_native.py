@@ -4,9 +4,9 @@ The columnar-native data path hands packed column buffers straight to
 eligible batch kernels instead of materialising rows at every consuming
 hop.  These tests pin its contract:
 
-* static eligibility introspection (itemgetter projections,
-  single-column predicates, columnwise reducers) and the per-hop elide
-  gate, including which loop-body operators consume a loop's state;
+* the per-hop elide gate, including which loop-body operators consume
+  a loop's state (the declared-UDF introspection it reads is tested in
+  ``test_declared_udfs.py``);
 * native kernels are byte-identical to the row path, including the
   mid-chain fallbacks — overflowing sums, bool/ragged projections and
   other layout escapes fall back to rows without wrong answers;
@@ -33,14 +33,11 @@ from repro.core.physical.columnar import (
     ColumnPredicate,
     ColumnwiseReduce,
     can_elide,
-    key_column,
     loop_state_consumers,
     native_filter,
     native_keys,
     native_map,
     native_reduce_by,
-    predicate_spec,
-    projection_indices,
 )
 from repro.errors import ExecutionError
 
@@ -74,47 +71,6 @@ def _loop_execution(ctx, condition=None):
     quanta._builder.plan.add(sink, [quanta._op])
     physical = ctx.app_optimizer.optimize(quanta._builder.plan)
     return ctx.task_optimizer.optimize(physical, forced_platform="java")
-
-
-# ----------------------------------------------------------------------
-# eligibility introspection
-# ----------------------------------------------------------------------
-class TestIntrospection:
-    def test_itemgetter_projection_indices(self):
-        assert projection_indices(itemgetter(2)) == (2,)
-        assert projection_indices(itemgetter(3, 1, 0)) == (3, 1, 0)
-        assert projection_indices(itemgetter(-1, 0)) == (-1, 0)
-
-    def test_non_projections_are_rejected(self):
-        assert projection_indices(lambda t: t[0]) is None
-        assert projection_indices(itemgetter("a")) is None
-        assert projection_indices(itemgetter(0, "a")) is None
-
-    def test_predicate_spec_variants(self):
-        fn = (3).__lt__
-        assert predicate_spec(ColumnPredicate(2, fn)) == (2, fn)
-        # a bare itemgetter used as predicate means column truthiness
-        assert predicate_spec(itemgetter(1)) == (1, None)
-        assert predicate_spec(itemgetter(0, 1)) is None
-        assert predicate_spec(lambda t: t[0] > 3) is None
-
-    def test_key_column(self):
-        assert key_column(itemgetter(0)) == 0
-        assert key_column(itemgetter(1, 0)) is None
-        assert key_column(lambda t: t[0]) is None
-
-    def test_column_predicate_row_semantics(self):
-        predicate = ColumnPredicate(1, (2.0).__gt__)  # 2.0 > value
-        assert predicate((9, 1.5)) is True
-        assert predicate((9, 3.5)) is False
-
-    def test_columnwise_reduce_row_semantics(self):
-        reducer = ColumnwiseReduce(("key", "sum", "min", "max"))
-        assert reducer((1, 10, 5, 5), (9, 3, 2, 7)) == (1, 13, 2, 7)
-
-    def test_columnwise_reduce_rejects_unknown_rule(self):
-        with pytest.raises(ValueError, match="unknown columnwise combine"):
-            ColumnwiseReduce(("key", "mean"))
 
 
 # ----------------------------------------------------------------------
