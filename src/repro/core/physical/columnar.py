@@ -167,14 +167,13 @@ class ColumnwiseReduce:
     first quantum of the group — the usual reduce-by-key contract) or a
     combine from ``sum``/``min``/``max``.  The pairwise combine is
     generated once, in ``__init__``: spec ``("key", "sum")`` compiles to
-    ``lambda a, b: (a[0], a[1] + b[1])``.  Row mode folds tuples through
-    it, and the hash reduce-by through ``fold(pairs, acc)``, a generated
-    loop over ``(key, quantum)`` pairs with the same expressions inlined;
-    the columnar sweep in :func:`native_reduce_by` runs the same loop
-    over the buffers' values zipped into rows — byte-identical results.
+    ``lambda a, b: (a[0], a[1] + b[1])``.  The reduce kernels fold
+    tuples through it; the columnar sweep in :func:`native_reduce_by`
+    runs the same fold over the buffers' values zipped into rows —
+    byte-identical results.
     """
 
-    __slots__ = ("spec", "combine", "fold")
+    __slots__ = ("spec", "combine")
 
     def __init__(self, spec: Sequence[str]):
         for entry in spec:
@@ -187,19 +186,9 @@ class ColumnwiseReduce:
         terms = [_TERMS[rule].format(j=j) for j, rule in enumerate(self.spec)]
         body = ", ".join(terms) + ("," if len(terms) == 1 else "")
         namespace: dict[str, Any] = {}
-        exec(compile(
-            f"combine = lambda a, b: ({body})\n"
-            "def fold(pairs, acc):\n"
-            "    for k, b in pairs:\n"
-            "        try:\n"
-            "            a = acc[k]\n"
-            "        except KeyError:\n"
-            "            acc[k] = b\n"
-            "        else:\n"
-            f"            acc[k] = ({body})\n",
-            repr(self), "exec"), namespace)
+        exec(compile(f"combine = lambda a, b: ({body})", repr(self), "exec"),
+             namespace)
         self.combine = namespace.pop("combine")
-        self.fold = namespace.pop("fold")
 
     def __call__(self, a: Any, b: Any) -> Any:
         return self.combine(a, b)
@@ -335,9 +324,9 @@ def native_reduce_by(
     """Columnwise reduce-by sweep over the buffers; None if ineligible.
 
     Requires a single-column key and a :class:`ColumnwiseReduce`
-    reducer, whose generated loop folds the buffers' values (plain
+    reducer.  The row path's fold runs over the buffers' values (plain
     Python numbers, so int64 overflow behaves exactly like row mode —
-    unbounded Python ints) in row order, as the row path does.  The output
+    unbounded Python ints) in row order.  The output
     (one quantum per distinct key, first-appearance order) is assembled
     as a batch when it still fits the int64/double layout, rows
     otherwise — mirroring ``ColumnarChannel.from_rows`` rejection.
@@ -351,13 +340,13 @@ def native_reduce_by(
         or len(reducer.spec) != batch.width
     ):
         return None
+    from repro.core.physical.kernels import fold_by_key  # kernels imports us
+
     note_kernel("reduceby.hash.columnar")
     columns = batch.columns
-    accumulators: dict[Any, tuple] = {}
-    reducer.fold(zip(columns[index], zip(*columns)), accumulators)
-    if not accumulators:
+    grouped = fold_by_key(zip(columns[index], zip(*columns)), reducer)
+    if not grouped:
         return []
-    grouped = list(accumulators.values())
     try:
         out = [
             array.array(column.typecode, values)

@@ -99,12 +99,17 @@ def hash_reduce_by(
             return swept
     keys, rows, native = _key_build(items, key)
     note_kernel("reduceby.hash.columnar" if native else "reduceby.hash.batch")
-    accumulators: dict[Any, Any] = {}
+    return fold_by_key(zip(keys, rows), reducer)
+
+
+def fold_by_key(
+    pairs: Iterable[tuple[Any, Any]], reducer: Callable[[Any, Any], Any]
+) -> list[Any]:
+    """Left-fold ``(key, quantum)`` pairs per key, first-appearance order."""
     if isinstance(reducer, columnar.ColumnwiseReduce):
-        # a declared reducer runs its generated loop, combine inlined
-        reducer.fold(zip(keys, rows), accumulators)
-        return list(accumulators.values())
-    for item_key, item in zip(keys, rows):
+        reducer = reducer.combine  # the compiled combine, no wrapper frame
+    accumulators: dict[Any, Any] = {}
+    for item_key, item in pairs:
         if item_key in accumulators:
             accumulators[item_key] = reducer(accumulators[item_key], item)
         else:

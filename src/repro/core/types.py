@@ -139,11 +139,12 @@ class Record:
     def __getitem__(self, field: str | int) -> Any:
         if type(field) is int:
             return self.values[field]
-        try:  # a name: one dict lookup
-            return self.values[self.schema._index[field]]
-        except KeyError:  # an int subclass (bool), or unknown
-            pass
-        if isinstance(field, int):
+        if type(field) is str:
+            try:  # a name: one dict lookup
+                return self.values[self.schema._index[field]]
+            except KeyError:  # unknown: index_of raises
+                pass
+        elif isinstance(field, int):  # bool: a position, as before
             return self.values[field]
         return self.values[self.schema.index_of(field)]
 

@@ -298,6 +298,8 @@ class TestRecordFields:
         record = Schema([1, 0]).record("first", "second")
         assert record[1] == "second"
         assert record[0] == "first"
+        assert record[True] == "second"  # bool is a position, not name 1
+        assert record[False] == "first"
 
 
 # ----------------------------------------------------------------------
