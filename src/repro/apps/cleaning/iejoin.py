@@ -17,8 +17,8 @@ extended the set of physical RHEEM operators with a new join operator
   use in plans;
 * :class:`PIEJoin` — the new physical operator (with a nested-loop
   variant as alternate), registered through the standard mapping registry
-  and executed on every platform via :func:`register_iejoin` — no core
-  changes required.
+  plus one operator-table kernel, and executed on every platform via
+  :func:`register_iejoin` — no core changes required.
 """
 
 from __future__ import annotations
@@ -31,15 +31,15 @@ import numpy as np
 
 from repro.core.logical.operators import CostHints, LogicalOperator
 from repro.core.mappings import OperatorMappings
-from repro.core.metrics import CostLedger
 from repro.core.optimizer.cost import OperatorCostInput
 from repro.core.optimizer.workunits import register_work_units
 from repro.core.physical.operators import PhysicalOperator, PNestedLoopJoin
+from repro.core.physical.table import KERNELS
 from repro.core.runtime import RuntimeContext
 from repro.core.types import KeyUdf
 from repro.core.workmeter import report_work
 from repro.errors import RuleError
-from repro.platforms.base import ExecutionOperator, Platform
+from repro.platforms.base import Platform
 
 _COMPARATORS: dict[str, Callable[[Any, Any], bool]] = {
     "<": operator.lt,
@@ -180,46 +180,18 @@ class PIEJoin(PhysicalOperator):
         self.join = logical
 
 
-class _IEJoinExecutionOperator(ExecutionOperator):
-    """Shared list-based execution operator (in-process & relational)."""
-
-    def apply_op(self, runtime: RuntimeContext, inputs: list[Any],
-                 ledger: CostLedger) -> list[Any]:
-        join: InequalityJoin = self.physical.join
-        return list(
-            ie_join_pairs(
-                list(inputs[0]),
-                list(inputs[1]),
-                join.left_key1, join.op1, join.right_key1,
-                join.left_key2, join.op2, join.right_key2,
-            )
+def _iejoin_kernel(
+    op: PIEJoin, runtime: RuntimeContext, inputs: list[Any]
+) -> list[Any]:
+    join = op.join
+    return list(
+        ie_join_pairs(
+            list(inputs[0]),
+            list(inputs[1]),
+            join.left_key1, join.op1, join.right_key1,
+            join.left_key2, join.op2, join.right_key2,
         )
-
-
-class _SparkIEJoinExecutionOperator(ExecutionOperator):
-    """Simulated-Spark execution: global sort + partition-pair merging.
-
-    The distributed IEJoin of [20] sorts globally and joins block pairs;
-    the simulation gathers (the virtual-time model charges the shuffle)
-    and runs the single-node algorithm, then re-partitions the output.
-    """
-
-    def apply_op(self, runtime: RuntimeContext, inputs: list[Any],
-                 ledger: CostLedger) -> Any:
-        from repro.platforms.spark.rdd import SimRDD
-        from repro.util.iterators import split_evenly
-
-        join: InequalityJoin = self.physical.join
-        pairs = list(
-            ie_join_pairs(
-                inputs[0].collect(),
-                inputs[1].collect(),
-                join.left_key1, join.op1, join.right_key1,
-                join.left_key2, join.op2, join.right_key2,
-            )
-        )
-        parallelism = self.platform.cluster.default_parallelism
-        return SimRDD(split_evenly(pairs, parallelism))
+    )
 
 
 def _iejoin_work_units(cost_input: OperatorCostInput) -> float:
@@ -243,19 +215,15 @@ def register_iejoin(
     """Plug IEJoin into a mapping registry and a set of platforms.
 
     This is the extensibility path of §5.2: a new physical operator with
-    a nested-loop alternate, execution operators per platform, and a work
-    unit estimate — all registered declaratively.  Idempotent.
+    a nested-loop alternate, one operator-table kernel that every
+    platform applies its own way (the simulated Spark gathers, joins and
+    re-partitions; the relational and in-process engines run it as is),
+    and a work unit estimate — all registered declaratively.  Idempotent.
     """
     if not mappings.has_mapping(InequalityJoin):
         mappings.register(InequalityJoin, PIEJoin, prepend=True)
         mappings.register(InequalityJoin, _nested_loop_variant)
-    register_work_units("join.iejoin", _iejoin_work_units)
+    register_work_units(PIEJoin.kind, _iejoin_work_units)
+    KERNELS[PIEJoin.kind] = _iejoin_kernel
     for platform in platforms:
-        if platform.name == "spark":
-            platform.register_execution_operator(
-                "join.iejoin", _SparkIEJoinExecutionOperator
-            )
-        else:
-            platform.register_execution_operator(
-                "join.iejoin", _IEJoinExecutionOperator
-            )
+        platform.kinds.add(PIEJoin.kind)

@@ -382,7 +382,7 @@ def command_info(ctx: RheemContext) -> int:
     print(f"repro {__version__} — RHEEM reproduction")
     print("\nplatforms:")
     for platform in ctx.platforms:
-        kinds = sorted(platform._factories)
+        kinds = sorted(platform.kinds)
         print(
             f"  {platform.name:<10} profiles={sorted(platform.profiles)} "
             f"startup={platform.cost_model.startup_ms():.0f}ms "
@@ -390,7 +390,7 @@ def command_info(ctx: RheemContext) -> int:
         )
     first = ctx.platforms[0]
     print("\nphysical operator kinds (first platform):")
-    print("  " + ", ".join(sorted(first._factories)))
+    print("  " + ", ".join(sorted(first.kinds)))
     return 0
 
 

@@ -10,12 +10,16 @@ paper evaluates on (see DESIGN.md §2 for the substitution argument):
 * :mod:`repro.platforms.postgres` — a miniature relational engine
   standing in for PostgreSQL.
 
-New platforms plug in by subclassing :class:`repro.platforms.base.Platform`
-and registering execution-operator factories — no core changes required
-(the extensibility requirement of paper §8, challenge 1).
+Every platform executes the same kernels, one per physical operator
+kind (:data:`repro.core.physical.table.KERNELS`).  New platforms plug in
+by subclassing :class:`repro.platforms.base.Platform`: a set of supported
+kinds, a native dataset representation, a cost model and, where the
+natives are not plain lists, an :meth:`~repro.platforms.base.Platform.apply`
+rule saying how a kernel runs over them — no core changes required (the
+extensibility requirement of paper §8, challenge 1).
 """
 
-from repro.platforms.base import ExecutionOperator, Platform
+from repro.platforms.base import Platform
 from repro.platforms.java import JavaPlatform
 from repro.platforms.postgres import PostgresPlatform
 from repro.platforms.spark import SparkPlatform
@@ -27,7 +31,6 @@ def default_platforms() -> list[Platform]:
 
 
 __all__ = [
-    "ExecutionOperator",
     "JavaPlatform",
     "Platform",
     "PostgresPlatform",

@@ -4,9 +4,10 @@ The paper names Nephele/PACTs as a platform RHEEM "can also use as
 underlying platform" (§7); this package plugs such an engine in *without
 any core changes* — the extensibility requirement of §8, challenge 1:
 
-* narrow operators chain lazily over generators (true operator
-  pipelining: one pass, no intermediate materialisation);
-* wide operators materialise and reuse the shared kernels;
+* narrow kinds chain lazily over generators (true operator pipelining:
+  one pass, no intermediate materialisation);
+* every other kind materialises its input streams and runs the kernel
+  of the shared operator table (:data:`repro.core.physical.table.KERNELS`);
 * the cost model reflects the engine's real-world profile: mid-size
   start-up, cheap pipelined narrow operators, and — the differentiator —
   **native cheap iterations** (Flink's closed-loop iterations vs. a

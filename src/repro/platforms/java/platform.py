@@ -14,7 +14,6 @@ from typing import Any
 from repro.core.optimizer.cost import OperatorCostInput, PlatformCostModel
 from repro.core.optimizer.workunits import work_units
 from repro.platforms.base import Platform
-from repro.platforms.java import operators
 
 
 class JavaCostModel(PlatformCostModel):
@@ -60,13 +59,17 @@ class JavaCostModel(PlatformCostModel):
 
 
 class JavaPlatform(Platform):
-    """Eager single-process engine over plain Python lists."""
+    """Eager single-process engine over plain Python lists.
+
+    Applies every kernel of the operator table as it is, exactly like a
+    single-threaded Java program looping over collections.
+    """
 
     name = "java"
     profiles = frozenset({"batch", "iterative"})
     #: in-process engine: each atom is just a thread's worth of work
     max_concurrent_atoms = 8
-    #: operators and kernels consume ColumnarBatch hand-offs in place
+    #: kernels consume ColumnarBatch hand-offs in place
     columnar_native = True
     #: in-process engine streams file lines straight into fused chains
     fuse_sources = True
@@ -75,7 +78,6 @@ class JavaPlatform(Platform):
                  fuse_narrow: bool = True):
         super().__init__(cost_model or JavaCostModel())
         self.fuse_narrow = fuse_narrow
-        operators.register_all(self)
 
     def ingest(self, data: list[Any]) -> Any:
         # Columnar batches stay columnar across the process-local

@@ -1,13 +1,22 @@
-"""The relational platform and its calibrated cost model."""
+"""The relational platform and its calibrated cost model.
+
+Only relational kinds are supported — scans, filters, projections,
+joins, grouping, aggregation, sorting, deduplication.  The absence of
+flat-maps, sampling and loops is deliberate: it is what makes the
+multi-platform optimizer route non-relational work elsewhere, the
+behaviour the paper's Oil & Gas pipeline motivates.
+"""
 
 from __future__ import annotations
 
 from typing import Any
 
+from repro.core.metrics import CostLedger
 from repro.core.optimizer.cost import OperatorCostInput, PlatformCostModel
 from repro.core.optimizer.workunits import work_units
+from repro.core.physical.operators import PhysicalOperator
+from repro.core.runtime import RuntimeContext
 from repro.platforms.base import Platform
-from repro.platforms.postgres import operators
 from repro.platforms.postgres.engine import Database
 
 #: Kinds executed by the compiled relational engine (fast path).
@@ -101,7 +110,21 @@ class PostgresPlatform(Platform):
     ):
         super().__init__(cost_model or PostgresCostModel())
         self.database = database or Database()
-        operators.register_all(self)
+        # relational kinds plus UDF projections and theta-joins, which the
+        # cost model prices on the procedural-language path
+        self.kinds = {"map", "join.nestedloop", *RELATIONAL_KINDS}
+
+    def apply(
+        self,
+        operator: PhysicalOperator,
+        inputs: list[Any],
+        runtime: RuntimeContext,
+        ledger: CostLedger,
+    ) -> list[Any]:
+        # a table scan reads the platform's own database before the catalog
+        if operator.kind == "source.table" and operator.dataset in self.database:
+            return list(self.database.table(operator.dataset).scan())
+        return super().apply(operator, inputs, runtime, ledger)
 
     def ingest(self, data: list[Any]) -> list[Any]:
         return list(data)

@@ -3,7 +3,9 @@
 import pytest
 
 from repro import RheemContext
+from repro.core.metrics import CostLedger
 from repro.core.physical.operators import PMap
+from repro.core.runtime import RuntimeContext
 from repro.core.logical.operators import Map
 from repro.errors import UnsupportedOperatorError
 from repro.platforms import JavaPlatform
@@ -23,7 +25,7 @@ class TestPlatformContract:
             "distinct.hash", "distinct.sort", "sample", "count", "sink.collect",
         ]
         for kind in kinds:
-            assert kind in java_platform._factories, kind
+            assert kind in java_platform.kinds, kind
 
     def test_ingest_egest_roundtrip(self, java_platform):
         native = java_platform.ingest([1, 2, 3])
@@ -40,7 +42,7 @@ class TestPlatformContract:
         op = PMap(Map(lambda x: x))
         op.kind = "imaginary.kind"
         with pytest.raises(UnsupportedOperatorError, match="imaginary"):
-            java_platform.create_execution_operator(op)
+            java_platform.apply(op, [[1]], RuntimeContext(), CostLedger())
 
     def test_profiles(self, java_platform):
         assert "batch" in java_platform.profiles
