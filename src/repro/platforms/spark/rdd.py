@@ -8,10 +8,36 @@ exactly as on the engine being simulated.
 
 from __future__ import annotations
 
+import zlib
 from typing import Any, Callable, Iterable, Sequence
 
 from repro.core.types import KeyUdf
 from repro.util.iterators import split_evenly
+
+
+def _stable(key: Any) -> Any:
+    """``key`` with every str/bytes replaced by its CRC-32, recursively
+    through tuples; anything else is returned as it is."""
+    kind = type(key)
+    if kind is str:
+        return zlib.crc32(key.encode("utf-8", "surrogatepass"))
+    if kind is bytes:
+        return zlib.crc32(key)
+    if kind is tuple:
+        return tuple(map(_stable, key))
+    return key
+
+
+def partition_hash(key: Any) -> int:
+    """The hash a shuffle partitions by, the same in every process.
+
+    ``hash()`` of a str or bytes changes with ``PYTHONHASHSEED``, so those
+    (alone or inside tuples) hash through their CRC-32.  A key without
+    text keeps its own ``hash()``: ints, floats, bools, None and tuples
+    of them land where they always did, since a tuple's hash depends only
+    on its items' hashes.
+    """
+    return hash(_stable(key))
 
 
 class SimRDD:
@@ -62,7 +88,9 @@ class SimRDD:
     # wide transformations (shuffles)
     # ------------------------------------------------------------------
     def shuffle_by_key(self, key: KeyUdf, num_partitions: int) -> "SimRDD":
-        """Hash-partition quanta by ``key`` into ``num_partitions``.
+        """Hash-partition quanta by ``key`` into ``num_partitions``
+        (by :func:`partition_hash`, so layouts do not depend on the
+        process's hash seed).
 
         This is the physical shuffle: every quantum moves to the partition
         owning its key, so downstream per-partition operators see all
@@ -71,7 +99,7 @@ class SimRDD:
         buckets: list[list[Any]] = [[] for _ in range(num_partitions)]
         for partition in self.partitions:
             for quantum in partition:
-                buckets[hash(key(quantum)) % num_partitions].append(quantum)
+                buckets[partition_hash(key(quantum)) % num_partitions].append(quantum)
         return SimRDD(buckets)
 
     def repartition(self, num_partitions: int) -> "SimRDD":

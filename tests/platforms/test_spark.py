@@ -1,6 +1,10 @@
 """Tests for the simulated Spark platform: SimRDD semantics, shuffles,
 stage/overhead accounting, and equivalence with the in-process engine."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -64,6 +68,43 @@ class TestSimRDD:
         rdd = SimRDD.from_collection(data, parts)
         assert rdd.collect() == data
         assert rdd.count() == len(data)
+
+
+#: prints the bucket sizes of a shuffle by str keys, str-in-tuple keys
+#: and bytes keys
+_SHUFFLE_SIZES = """
+from repro.platforms.spark import SimRDD
+words = [f"w{i % 23}" for i in range(400)]
+for key in (lambda w: w, lambda w: (w[:2], len(w)), lambda w: w.encode()):
+    rdd = SimRDD.from_collection(words, 4).shuffle_by_key(key, 8)
+    print([len(p) for p in rdd.partitions])
+"""
+
+
+class TestShuffleHash:
+    def test_text_keys_shuffle_alike_under_any_hash_seed(self):
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        sizes = []
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            sizes.append(subprocess.run(
+                [sys.executable, "-c", _SHUFFLE_SIZES], env=env,
+                capture_output=True, text=True, check=True,
+            ).stdout)
+        assert sizes[0] == sizes[1]
+        assert sizes[0].count("[") == 3
+
+    @given(st.lists(st.one_of(
+        st.integers(), st.floats(allow_nan=False), st.booleans(), st.none(),
+        st.tuples(st.integers(), st.floats(allow_nan=False), st.none()),
+        st.tuples(st.integers(), st.tuples(st.booleans(), st.integers())),
+    ), max_size=40), st.integers(1, 8))
+    def test_keys_without_text_keep_their_hash(self, keys, parts):
+        rdd = SimRDD([keys]).shuffle_by_key(lambda k: k, parts)
+        buckets = [[] for _ in range(parts)]
+        for key in keys:
+            buckets[hash(key) % parts].append(key)
+        assert rdd.partitions == buckets
 
 
 class TestSparkOperators:
