@@ -44,10 +44,6 @@ class DataStream:
             self._materialized = list(self._producer())
         return self._materialized
 
-    @property
-    def is_materialized(self) -> bool:
-        return self._materialized is not None
-
     def transform(
         self, fn: Callable[[Iterator[Any]], Iterator[Any]]
     ) -> "DataStream":
