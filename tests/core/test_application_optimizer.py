@@ -195,3 +195,109 @@ def test_default_rules_registered():
     names = {rule.name for rule in default_rules().rules}
     assert {"fuse-adjacent-filters", "push-filter-below-sort",
             "push-filter-below-union"} <= names
+
+
+class TestCallerPlanUntouched:
+    """The optimizer rewrites its own copy of the caller's plan: a
+    rewrite that moves a loop body's output keeps it the output, and a
+    plan (or a handle built on it) reads the same after a run."""
+
+    SNIPPETS = {
+        "sorted_body_filtered": lambda ctx: ctx.collection(list(range(10)))
+        .repeat(2, lambda s: s.sort(lambda x: -x).filter(lambda x: x < 5))
+        .collect(),
+        "body_ends_in_two_filters": lambda ctx: ctx.collection(list(range(10)))
+        .repeat(
+            2,
+            lambda s: s.map(lambda x: x + 1)
+            .filter(lambda x: x > 0)
+            .filter(lambda x: x < 100),
+        )
+        .collect(),
+    }
+
+    @staticmethod
+    def _handle_after_derived(ctx):
+        t = ctx.collection([5, 3, 1]).sort(lambda x: x)
+        t.filter(lambda x: x < 4).collect()
+        return t.collect()
+
+    @staticmethod
+    def _collected_twice(ctx):
+        s = (
+            ctx.collection([3, 1, 2])
+            .map(lambda x: x * 2)
+            .filter(lambda x: x > 2)
+            .sort(lambda x: x)
+            .filter(lambda x: x < 6)
+        )
+        return [s.collect(), s.collect()]
+
+    @pytest.mark.parametrize(
+        "snippet, expected",
+        [
+            ("sorted_body_filtered", [4, 3, 2, 1, 0]),
+            ("body_ends_in_two_filters", list(range(2, 12))),
+            ("_handle_after_derived", [1, 3, 5]),
+            ("_collected_twice", [[4], [4]]),
+        ],
+    )
+    def test_snippet_matches_a_run_without_rules(self, snippet, expected):
+        from repro import RheemContext
+
+        run = self.SNIPPETS.get(snippet) or getattr(self, snippet)
+        assert run(RheemContext()) == expected
+        assert run(RheemContext(rules=RuleRegistry([]))) == expected
+
+
+class _CountingRules(RuleRegistry):
+    """A registry that counts the rewrites it performs."""
+
+    rewrites = 0
+
+    def run_to_fixpoint(self, plan):
+        done = super().run_to_fixpoint(plan)
+        self.rewrites += done
+        return done
+
+
+def _fuse_input(q):
+    return q.filter(lambda x: x > 1).filter(lambda x: x < 8)
+
+
+def _sort_input(q):
+    return q.sort(lambda x: -x).filter(lambda x: x > 2)
+
+
+def _union_input(q):
+    return q.union(q.source([7, 8, 9])).filter(lambda x: x % 2 == 0)
+
+
+@pytest.mark.parametrize("where", ["top", "body"])
+@pytest.mark.parametrize(
+    "rule, build",
+    [
+        (FuseAdjacentFilters, _fuse_input),
+        (PushFilterBelowSort, _sort_input),
+        (PushFilterBelowUnion, _union_input),
+    ],
+    ids=["fuse", "sort", "union"],
+)
+def test_execute_leaves_the_callers_plan_as_built(rule, build, where):
+    from repro import RheemContext
+    from repro.core.optimizer.fingerprint import logical_plan_fingerprint
+
+    rules = _CountingRules([rule()])
+    ctx = RheemContext(rules=rules)
+    handle = ctx.collection(list(range(10)))
+    if where == "top":
+        handle = build(handle)
+    else:
+        handle = handle.repeat(1, build)
+    plan = handle.plan
+    plan.add(CollectSink(), [handle.operator])
+    explained, fingerprint = plan.explain(), logical_plan_fingerprint(plan)
+    ctx.execute(plan, platform="java")
+    assert rules.rewrites >= 1
+    assert plan.explain() == explained
+    assert logical_plan_fingerprint(plan) == fingerprint

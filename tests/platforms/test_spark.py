@@ -10,6 +10,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro import RheemContext
+from repro.core.logical.operators import CollectSink
+from repro.core.runtime import RuntimeContext
+from repro.core.workmeter import report_work
 from repro.platforms import JavaPlatform, SparkPlatform
 from repro.platforms.spark import ClusterConfig, SimRDD
 
@@ -153,6 +156,29 @@ class TestCostAccounting:
             sctx.collection(data).group_by(lambda x: x % 100).collect_with_metrics()
         )
         assert wide.virtual_ms > narrow.virtual_ms
+
+    @pytest.mark.parametrize("fuse", [True, False], ids=["fused", "unfused"])
+    def test_atom_ledger_entries_carry_the_atom_id(self, fuse):
+        def heavy(x):
+            report_work(10.0)
+            return x + 1
+
+        def even(x):
+            report_work(5.0)
+            return x % 2 == 0
+
+        ctx = RheemContext(platforms=[SparkPlatform(fuse_narrow=fuse)])
+        handle = ctx.collection(list(range(40))).map(heavy).filter(even)
+        handle.plan.add(CollectSink(), [handle.operator])
+        execution = ctx.task_optimizer.optimize(
+            ctx.app_optimizer.optimize(handle.plan)
+        )
+        (atom,) = execution.atoms
+        kinds = {op.kind for op in atom.fragment}
+        assert ("fused.narrow" in kinds) is fuse
+        _, ledger = atom.platform.execute_atom(atom, {}, RuntimeContext())
+        assert "op.udf_work" in {entry.label for entry in ledger.entries}
+        assert {entry.atom_id for entry in ledger.entries} == {atom.id}
 
     def test_custom_cluster_config(self):
         cluster = ClusterConfig(workers=2, default_parallelism=4,
