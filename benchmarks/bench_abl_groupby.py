@@ -41,7 +41,9 @@ def run_variant(ctx, data, key_count, variant_class):
         variant = next(
             alt for alt in group_op.alternates if isinstance(alt, variant_class)
         )
-        physical.substitute(group_op, variant)
+        physical.graph.relabel(
+            (op, variant if op is group_op else op) for op in physical.graph
+        )
         variant.alternates = []
     else:
         group_op.alternates = []

@@ -57,7 +57,9 @@ def run(ctx, data, force_nested_loop: bool):
             alt for alt in join_op.alternates
             if isinstance(alt, PNestedLoopJoin)
         )
-        physical.substitute(join_op, variant)
+        physical.graph.relabel(
+            (op, variant if op is join_op else op) for op in physical.graph
+        )
         variant.alternates = []
     else:
         join_op.alternates = []

@@ -53,7 +53,8 @@ class OperatorGraph(Generic[OpT]):
 
     The graph owns no execution semantics; it only maintains structure:
     which operators exist, which operators feed which input slots, and the
-    resulting topological order.
+    resulting topological order.  Only the wiring belongs to a graph: one
+    operator may sit in a plan and in the optimizer's copy of it.
 
     The consumer index and the topological order are derived views, built
     on first use and dropped by every surgery method, so traversals stay
@@ -297,30 +298,30 @@ class OperatorGraph(Generic[OpT]):
         self._operators.remove(op)
         del self._inputs[op.id]
 
-    def replace_node(self, old: OpT, new: OpT) -> None:
-        """Swap ``old`` for ``new`` in place, transferring all wiring.
+    def relabel(self, pairs: Iterable[tuple[OpT, OpT]]) -> None:
+        """Put a new operator in each operator's place, all in one pass.
 
-        ``new`` must have the same input arity and must not already be in
-        the graph.
+        ``pairs`` lists every operator of the graph once with its
+        replacement (itself to keep it), in the order the graph then
+        holds them.  A replacement takes over its operator's input slots
+        and consumers and must have the same arity.
         """
-        if old.id not in self._inputs:
-            raise PlanError(f"{old!r} is not part of this plan")
-        if new.id in self._inputs:
-            raise PlanError(f"{new!r} is already part of this plan")
-        if old.num_inputs != new.num_inputs:
-            raise PlanError(
-                f"replacement {new!r} has arity {new.num_inputs}, "
-                f"expected {old.num_inputs}"
-            )
-        consumers = self.consumers_of(old)
+        new_of: dict[int, OpT] = {}
+        for old, new in pairs:
+            if new.num_inputs != old.num_inputs:
+                raise PlanError(f"{new!r} does not have the arity of {old!r}")
+            new_of[old.id] = new
+        if new_of.keys() != self._inputs.keys():
+            raise PlanError("relabel must name every operator of the plan once")
+        inputs = {
+            new_of[op_id].id: [new_of[p.id] for p in slots]
+            for op_id, slots in self._inputs.items()
+        }
+        if len(inputs) != len(new_of):
+            raise PlanError("two replacements share an operator id")
         self._changed()
-        self._operators[self._operators.index(old)] = new
-        self._inputs[new.id] = self._inputs.pop(old.id)
-        for op in consumers:
-            slots = self._inputs[op.id]
-            for index, producer in enumerate(slots):
-                if producer is old:
-                    slots[index] = new
+        self._operators = list(new_of.values())
+        self._inputs = inputs
 
     def contract_chains(self, chains: Iterable[tuple[Sequence[OpT], OpT]]) -> None:
         """Replace each ``(members, new)`` chain by ``new``, all in one pass.

@@ -121,8 +121,8 @@ class ExecutionPlan:
         #: optimizer cardinality estimates (operator id -> cardinality),
         #: kept so the Executor can report misestimates at run time
         self.estimates = estimates or {}
-        #: operator id -> operator kind at estimate time (before variant
-        #: substitution renumbers operators) — lets the Executor tag
+        #: operator id -> operator kind at estimate time (a committed
+        #: variant keeps the id, not the kind) — lets the Executor tag
         #: boundary observations for the cross-run CalibrationStore
         self.estimate_kinds: dict[int, str] = {}
         #: operator id -> correction factor a calibrated estimator

@@ -58,6 +58,8 @@ class CostLedger:
     entries: list[CostEntry] = field(default_factory=list)
     #: optional tracer notified per charge (excluded from comparisons)
     tracer: "Tracer | None" = field(default=None, repr=False, compare=False)
+    #: the task atom an atom-local ledger prices (``Platform.execute_atom``)
+    atom_id: int | None = field(default=None, init=False, compare=False)
 
     def charge(
         self, label: str, ms: float, platform: str, atom_id: int | None = None

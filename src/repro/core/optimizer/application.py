@@ -4,6 +4,8 @@ Implements the paper's §4.1: validate the input task, run the pre-defined
 logical rewrites (push-downs, fusions — pluggable via
 :mod:`repro.core.optimizer.rules`), then translate each logical operator
 into wrapper physical operators through the declarative mapping registry.
+Both work on the optimizer's own copy of the plan's wiring, never on the
+caller's plan.
 Where a logical operator has several algorithmic implementations
 (Example 2's ``SortGroupBy`` / ``HashGroupBy``) all variants are attached
 to the plan so the core-layer optimizer can pick at costing time.
@@ -44,10 +46,9 @@ class ApplicationOptimizer:
     def optimize(
         self, plan: LogicalPlan, tracer: "Tracer | None" = None
     ) -> PhysicalPlan:
-        """Validate, rewrite and translate ``plan``.
+        """Validate ``plan`` once, then rewrite and translate a copy of it.
 
-        The logical plan is modified in place by the rewrite rules (it is
-        owned by the optimizer from this point on), then translated.
+        ``plan`` stays as the caller built it, loop bodies included.
         With a ``tracer`` the logical→physical translation gets its own
         span (rewrite + translate + shared-scan phases annotated).
         """
@@ -55,21 +56,17 @@ class ApplicationOptimizer:
             tracer,
             "optimize.application",
             KIND_OPTIMIZER,
-            logical_operators=len(list(plan.graph.operators)),
+            logical_operators=len(plan.graph),
         ) as span:
             plan.validate()
-            self.rules.run_to_fixpoint(plan)
-            physical, _ = self._translate(plan)
-            before = len(list(physical.graph.operators))
+            physical, _ = self._translate(self._rewrite(plan))
+            before = len(physical.graph)
             self._merge_duplicate_scans(physical)
-            after = len(list(physical.graph.operators))
-            if span is not None and after != before:
-                span.set(scans_shared=before - after)
-            physical.validate()
+            after = len(physical.graph)
             if span is not None:
-                span.set(
-                    physical_operators=len(list(physical.graph.operators))
-                )
+                if after != before:
+                    span.set(scans_shared=before - after)
+                span.set(physical_operators=after)
             return physical
 
     # ------------------------------------------------------------------
@@ -102,19 +99,34 @@ class ApplicationOptimizer:
             graph.remove_isolated(operator)
 
     # ------------------------------------------------------------------
+    def _rewrite(self, plan: LogicalPlan, loop: Repeat | None = None) -> LogicalPlan:
+        """Run the rules to a fixpoint on a copy of ``plan``'s wiring.
+
+        A loop body is rewritten with its ``Repeat`` consuming the body's
+        output, as a collect sink consumes a plan's: a rule that moves or
+        fuses the output rewires the loop with it.
+        """
+        copy = LogicalPlan()
+        copy.graph = plan.graph.subgraph(plan.graph)
+        if loop is not None:
+            copy.add(loop, [loop.body_output])
+        self.rules.run_to_fixpoint(copy)
+        return copy
+
     def _translate(
         self, plan: LogicalPlan
     ) -> tuple[PhysicalPlan, dict[int, PhysicalOperator]]:
-        """Translate a logical plan; returns the plan and the operator map
-        (logical operator id → primary physical operator)."""
+        """Relabel ``plan`` into physical operators in topological order;
+        returns the physical plan and the operator map (logical operator
+        id → primary physical operator)."""
+        pairs = [
+            (logical, self._translate_operator(logical))
+            for logical in plan.graph.topological_order()
+        ]
+        plan.graph.relabel(pairs)
         physical = PhysicalPlan()
-        translated: dict[int, PhysicalOperator] = {}
-        for logical in plan.graph.topological_order():
-            primary = self._translate_operator(logical)
-            inputs = [translated[p.id] for p in plan.graph.inputs_of(logical)]
-            physical.add(primary, inputs)
-            translated[logical.id] = primary
-        return physical, translated
+        physical.graph = plan.graph
+        return physical, {logical.id: primary for logical, primary in pairs}
 
     def _translate_operator(self, logical: LogicalOperator) -> PhysicalOperator:
         if isinstance(logical, Repeat):
@@ -125,16 +137,18 @@ class ApplicationOptimizer:
         return primary
 
     def _translate_repeat(self, logical: Repeat) -> PRepeat:
-        """Translate a loop by recursively translating its body plan.
+        """Translate a loop by rewriting and translating its body plan.
 
         Rewrite rules are applied to the body as well — an optimization a
         loop body benefits from ``times`` times over.
         """
-        self.rules.run_to_fixpoint(logical.body)
-        body_plan, translated = self._translate(logical.body)
+        body = self._rewrite(logical.body, loop=logical)
+        (body_output,) = body.graph.inputs_of(logical)
+        body.graph.remove_unary(logical)
+        body_plan, translated = self._translate(body)
         return PRepeat(
             logical,
             body=body_plan,
             body_input=translated[logical.body_input.id],
-            body_output=translated[logical.body_output.id],
+            body_output=translated[body_output.id],
         )

@@ -99,7 +99,6 @@ class MultiPlatformOptimizer:
         ``candidate`` span per platform subset with the estimated cost of
         the best plan confined to it, plus the winner and why it won.
         """
-        plan.validate()
         with maybe_span(
             tracer,
             "optimize.enumerate",
@@ -109,8 +108,8 @@ class MultiPlatformOptimizer:
             excluded=sorted(exclude_platforms or ()),
         ) as span:
             estimates = self.estimator.estimate_plan(plan)
-            # Snapshot kind + applied-correction maps NOW: variant
-            # substitution renumbers operators and nested loop-body
+            # Snapshot kind + applied-correction maps NOW: a committed
+            # variant keeps its operator's id, not its kind, and loop-body
             # estimate_plan calls reset the estimator's correction map.
             estimate_kinds = {
                 op.id: op.kind for op in plan.graph.operators
@@ -181,7 +180,6 @@ class MultiPlatformOptimizer:
         """Estimated virtual cost, start-ups included, of the plan
         :meth:`optimize` would execute (one costing path serves both).
         Exposed for tests and ablations."""
-        plan.validate()
         estimates = self.estimator.estimate_plan(plan)
         assignment = self._assignment(
             plan, estimates, forced_platform, exclude_platforms
@@ -373,20 +371,17 @@ class MultiPlatformOptimizer:
     # ------------------------------------------------------------------
     # variant substitution and task-atom cutting
     # ------------------------------------------------------------------
-    def _apply_variants(
-        self, plan: PhysicalPlan, assignment: dict[int, Choice]
-    ) -> dict[int, PhysicalOperator]:
-        """Substitute committed variants; return old-id → new-operator map."""
-        replaced: dict[int, PhysicalOperator] = {}
-        for operator in list(plan.graph.operators):
-            choice = assignment[operator.id]
-            if choice.variant is not operator:
-                plan.substitute(operator, choice.variant)
-                choice.variant.alternates = []
-                assignment[choice.variant.id] = choice
-                del assignment[operator.id]
-                replaced[operator.id] = choice.variant
-        return replaced
+    @staticmethod
+    def _apply_variants(plan: PhysicalPlan, assignment: dict[int, Choice]) -> None:
+        """Put each committed variant in its operator's place, in one pass;
+        a variant takes that operator's id, so every map keyed by operator
+        id (the assignment, the estimates) stays valid."""
+        pairs = [(op, assignment[op.id].variant) for op in plan.graph]
+        swapped = [(op, variant) for op, variant in pairs if variant is not op]
+        for op, variant in swapped:
+            variant.id, variant.alternates = op.id, []
+        if swapped:
+            plan.graph.relabel(pairs)
 
     def _cut_atoms(
         self,
@@ -488,11 +483,7 @@ class MultiPlatformOptimizer:
         body_assignment = self._forced_assignment(
             repeat.body, platform, estimates
         )
-        replaced = self._apply_variants(repeat.body, body_assignment)
-        if repeat.body_input.id in replaced:
-            repeat.body_input = replaced[repeat.body_input.id]
-        if repeat.body_output.id in replaced:
-            repeat.body_output = replaced[repeat.body_output.id]
+        self._apply_variants(repeat.body, body_assignment)
         # The loop-output operator must be egested even when it has body-
         # internal consumers (the executor reads the state from it), and
         # must be marked *before* atom cutting so platform-layer fusion

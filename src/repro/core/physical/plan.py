@@ -15,6 +15,7 @@ class PhysicalPlan:
     A physical plan expresses "algorithmic needs only, without being tied
     to a particular processing platform" (paper §2).  Operators may carry
     ``alternates`` — algorithmic variants the enumerator can substitute.
+    It arrives valid from the application optimizer: nothing re-validates it.
     """
 
     def __init__(self) -> None:
@@ -26,25 +27,9 @@ class PhysicalPlan:
         """Add ``operator`` wired to ``inputs``; returns it for chaining."""
         return self.graph.add(operator, inputs)
 
-    def validate(self) -> None:
-        """Check the DAG invariants."""
-        self.graph.validate()
-
-    @property
-    def sinks(self) -> tuple[PhysicalOperator, ...]:
-        return self.graph.sinks
-
     def collect_sinks(self) -> tuple[PCollectSink, ...]:
         """The sinks whose content is returned to the caller."""
         return tuple(op for op in self.graph if isinstance(op, PCollectSink))
-
-    def substitute(self, old: PhysicalOperator, new: PhysicalOperator) -> None:
-        """Swap ``old`` for an algorithmic variant ``new`` in place.
-
-        The variant must have the same arity; wiring is transferred.  Used
-        by the enumerator once it has committed to a cheaper variant.
-        """
-        self.graph.replace_node(old, new)
 
     def explain(self) -> str:
         """Human-readable rendering of the plan DAG."""

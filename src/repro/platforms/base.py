@@ -163,6 +163,7 @@ class Platform(ABC):
         (movement itself is priced by the executor's movement model).
         """
         ledger = CostLedger()
+        ledger.atom_id = atom.id
         # Traced runs: the atom-local ledger advances the same virtual
         # clock as the executor's ledger, so per-operator spans opened
         # below get exact virtual durations.  (The executor merges this

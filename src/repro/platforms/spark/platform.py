@@ -233,6 +233,7 @@ class SparkPlatform(Platform):
                 "op.udf_work",
                 self.cost_model.udf_work_ms(total, max(per_task)),
                 self.name,
+                ledger.atom_id,
             )
         return SimRDD(outputs)
 

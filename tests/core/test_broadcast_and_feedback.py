@@ -64,7 +64,9 @@ class TestBroadcastJoin:
                     alt for alt in join_op.alternates
                     if isinstance(alt, PBroadcastJoin)
                 )
-                physical.substitute(join_op, variant)
+                physical.graph.relabel(
+                    (op, variant if op is join_op else op) for op in physical.graph
+                )
                 variant.alternates = []
             else:
                 join_op.alternates = []

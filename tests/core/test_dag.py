@@ -156,20 +156,44 @@ class TestSurgery:
         with pytest.raises(PlanError):
             graph.remove_unary(src)
 
-    def test_replace_node_transfers_wiring(self):
+    def test_relabel_transfers_wiring(self):
         src, old, sink = Src(), Unary(), Unary()
         graph = chain(src, old, sink)
         new = Unary()
-        graph.replace_node(old, new)
+        graph.relabel([(sink, sink), (old, new), (src, src)])
         assert graph.inputs_of(new) == (src,)
         assert graph.inputs_of(sink) == (new,)
         assert old not in graph
+        assert graph.operators == (sink, new, src)
+        assert graph.topological_order() == [src, new, sink]
 
-    def test_replace_node_arity_mismatch(self):
+    def test_relabel_arity_mismatch(self):
         src, old = Src(), Unary()
         graph = chain(src, old)
         with pytest.raises(PlanError, match="arity"):
-            graph.replace_node(old, Binary())
+            graph.relabel([(src, src), (old, Binary())])
+
+    def test_relabel_must_cover_the_graph(self):
+        src, old = Src(), Unary()
+        graph = chain(src, old)
+        with pytest.raises(PlanError, match="every operator"):
+            graph.relabel([(old, Unary())])
+        with pytest.raises(PlanError, match="share"):
+            twin = Unary()
+            twin.id = src.id
+            graph.relabel([(src, src), (old, twin)])
+        assert graph.inputs_of(old) == (src,)
+
+    def test_relabel_keeps_a_variant_on_its_operators_id(self):
+        src, old, sink = Src(), Unary(), Unary()
+        graph = chain(src, old, sink)
+        consumers = graph.consumers_of(src)  # build the cached views
+        new = Unary()
+        new.id = old.id
+        graph.relabel([(src, src), (old, new), (sink, sink)])
+        assert consumers == (old,)
+        assert graph.consumers_of(src) == (new,)
+        assert graph.inputs_of(sink) == (new,)
 
     def test_absorb_merges_disjoint_graphs(self):
         g1 = chain(Src(), Unary())
@@ -283,9 +307,13 @@ def surgery_remove_unary(graph, data):
         graph.remove_unary(data.draw(st.sampled_from(unary)))
 
 
-def surgery_replace_node(graph, data):
-    old = data.draw(st.sampled_from(graph.operators))
-    graph.replace_node(old, type(old)())
+def surgery_relabel(graph, data):
+    ops = graph.operators
+    fresh = data.draw(st.lists(st.booleans(), min_size=len(ops), max_size=len(ops)))
+    order = data.draw(st.permutations(range(len(ops))))
+    graph.relabel(
+        [(ops[i], type(ops[i])() if fresh[i] else ops[i]) for i in order]
+    )
 
 
 def surgery_replace_input(graph, data):
@@ -327,7 +355,7 @@ SURGERIES = [
     add_random,
     surgery_insert_between,
     surgery_remove_unary,
-    surgery_replace_node,
+    surgery_relabel,
     surgery_replace_input,
     surgery_absorb,
     surgery_remove_isolated,

@@ -222,7 +222,9 @@ def pairwise_fuse(atom, fuse_sources=False):
                 + (consumer.stages if isinstance(consumer, PFusedPipeline)
                    else [consumer])
             )
-            graph.replace_node(producer, pipeline)
+            graph.relabel(
+                (op, pipeline if op is producer else op) for op in graph.operators
+            )
             graph.remove_unary(consumer)
             for old in (producer, consumer):
                 for (op_id, slot), source in list(atom.external_inputs.items()):

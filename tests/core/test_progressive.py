@@ -122,7 +122,7 @@ class TestRemainderPlan:
         kinds = [op.kind for op in remainder.graph.topological_order()]
         assert kinds[0] == "source.collection"
         assert len(remainder.graph) == len(ops) - 2 + 1
-        remainder.validate()
+        remainder.graph.validate()
 
     def test_missing_channel_raises(self, ctx):
         from repro.errors import ExecutionError
