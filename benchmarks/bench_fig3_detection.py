@@ -36,10 +36,9 @@ from repro.apps.cleaning import (
 LEFT_SIZES = pick([1_000, 3_000, 10_000, 30_000], [500, 1_500, 4_000])
 RIGHT_SIZES = pick([1_000, 3_000, 10_000, 30_000], [500, 1_500, 4_000])
 #: predicted virtual time per cell beyond which we extrapolate instead of
-#: running.  A function of the plan alone, so the same cells are measured
-#: on an idle or a loaded machine; it sits where the former 30 s wall
-#: guard fell on an idle 2-core box (the 3 000-row quadratic cells,
-#: predicted 34-39 s, run; the next sizes, predicted 44 s and up, do not).
+#: running.  A function of the plan alone, so a loaded machine measures
+#: the same cells as an idle one: the 3 000-row quadratic cells (predicted
+#: 34-39 s) run, the next sizes (predicted 44 s and up) are extrapolated.
 VIRTUAL_GUARD_MS = 40_000.0
 
 FD = FDRule("fd-zip-city", lhs=["zipcode"], rhs=["city"])
