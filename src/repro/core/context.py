@@ -241,6 +241,8 @@ class RheemContext:
         plan: LogicalPlan,
         platform: str | None = None,
         runtime: RuntimeContext | None = None,
+        *,
+        fingerprint: str | None = None,
     ) -> ExecutionResult:
         """Run a logical plan through all three layers and return results.
 
@@ -250,7 +252,10 @@ class RheemContext:
         config epoch) replays the memoized execution plan with zero
         enumeration — no optimizer spans, a zero-ms ``plan_cache.hit``
         ledger entry, outputs and virtual time byte-identical to the
-        cold run.
+        cold run.  ``fingerprint`` is ``plan``'s
+        :func:`~repro.core.optimizer.fingerprint.logical_plan_fingerprint`
+        when the caller already holds it (the serving daemon memoises it
+        per request spec); it is computed here otherwise.
         """
         from repro.core.observability.spans import KIND_TASK, maybe_span
 
@@ -267,8 +272,10 @@ class RheemContext:
                 )
                 from repro.core.serving.plan_cache import plan_cache_key
 
+                if fingerprint is None:
+                    fingerprint = logical_plan_fingerprint(plan)
                 cache_key = plan_cache_key(
-                    logical_plan_fingerprint(plan),
+                    fingerprint,
                     platform or self._default_platform,
                     self.calibration.epoch
                     if self.calibration is not None

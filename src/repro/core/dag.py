@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from typing import Callable, Generic, Iterable, Iterator, Sequence, TypeVar
+from typing import Generic, Iterable, Iterator, Sequence, TypeVar
 
 from repro.errors import PlanError, ValidationError
 
@@ -365,17 +365,3 @@ class OperatorGraph(Generic[OpT]):
             ]
         return graph
 
-
-def walk_down(
-    graph: OperatorGraph[OpT], start: OpT, visit: Callable[[OpT], None]
-) -> None:
-    """Depth-first walk from ``start`` towards the sinks, calling ``visit``."""
-    seen: set[int] = set()
-    stack = [start]
-    while stack:
-        current = stack.pop()
-        if current.id in seen:
-            continue
-        seen.add(current.id)
-        visit(current)
-        stack.extend(graph.consumers_of(current))

@@ -34,10 +34,10 @@ def _value_token(value: Any) -> Any:
     if callable(value):
         return ("code", code_token(value))
     if isinstance(value, (list, tuple)):
-        digest = hashlib.sha256()
-        for item in value:
-            digest.update(repr(item).encode("utf-8", "backslashreplace"))
-            digest.update(b"\x00")
+        # ``repr(item) + "\x00"`` per item, joined and encoded once: the
+        # same bytes (and digest) as one ``update`` per item and separator.
+        stream = "\x00".join([*map(repr, value), ""])
+        digest = hashlib.sha256(stream.encode("utf-8", "backslashreplace"))
         return ("seq", len(value), digest.hexdigest())
     return ("val", repr(value))
 

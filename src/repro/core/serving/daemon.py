@@ -20,6 +20,12 @@ one tenant serialize on the session lock; different tenants run
 concurrently); all sessions share the daemon's
 :class:`~repro.core.serving.plan_cache.PlanCache` and
 :class:`~repro.core.serving.admission.PlatformSlotPool`.
+
+All sessions also share a spec memo, an LRU as large as the plan cache:
+from a spec's canonical JSON to its built logical plan and that plan's
+fingerprint.  A repeat spec skips building the workload and hashing its
+data; a plan-cache hit is then one lookup plus the replay of the cached
+execution plan, and a miss re-optimizes the memoised plan.
 """
 
 from __future__ import annotations
@@ -32,6 +38,8 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable
 
 from repro.core.context import RheemContext
+from repro.core.logical.operators import CollectSink
+from repro.core.logical.plan import LogicalPlan
 from repro.core.observability.export import prometheus_text
 from repro.core.observability.registry import (
     MetricsRegistry,
@@ -39,6 +47,7 @@ from repro.core.observability.registry import (
     set_build_info,
 )
 from repro.core.observability.spans import Tracer
+from repro.core.optimizer.fingerprint import logical_plan_fingerprint
 from repro.core.serving.admission import PlatformSlotPool
 from repro.core.serving.plan_cache import PlanCache
 from repro.core.serving.sessions import SessionManager, TenantSession
@@ -224,6 +233,9 @@ class ServingDaemon:
         #: serving-wide registry: every merged series is tenant-labelled
         self.registry = MetricsRegistry()
         self.plan_cache = PlanCache(cache_size)
+        #: canonical spec -> (collect-ready logical plan, its fingerprint);
+        #: the same LRU container, bounded like the plan cache
+        self.spec_memo = PlanCache(cache_size)
         self.slot_pool = PlatformSlotPool()
         if context_factory is None:
             def context_factory() -> RheemContext:
@@ -262,6 +274,11 @@ class ServingDaemon:
     def submit(self, spec: dict, tenant: str = DEFAULT_TENANT) -> QueryRecord:
         """Run one workload spec for ``tenant``; returns its record.
 
+        The plan and its fingerprint come from the spec memo (built and
+        hashed only on a memo miss), then run through
+        :meth:`RheemContext.execute`: a plan-cache hit replays the
+        cached execution plan, a miss optimizes the plan.
+
         Execution is synchronous: one query per tenant at a time (the
         session lock), concurrent across tenants (throttled by the
         shared slot pool).  :class:`ValidationError` propagates (HTTP
@@ -280,8 +297,9 @@ class ServingDaemon:
             ctx.attach_tracer(tracer)
             started = time.perf_counter()
             try:
-                handle = build_workload(ctx, spec)
-                rows, metrics = handle.collect_with_metrics()
+                plan, fingerprint = self._plan_for(ctx, spec)
+                result = ctx.execute(plan, fingerprint=fingerprint)
+                rows, metrics = result.single, result.metrics
             except ValidationError:
                 with self._queries_lock:
                     del self._queries[record.id]
@@ -297,6 +315,34 @@ class ServingDaemon:
             session.queries += 1
             self._finish(record, tenant, tracer, rows, metrics)
             return record
+
+    def _plan_for(self, ctx: RheemContext,
+                  spec: dict) -> tuple[LogicalPlan, str]:
+        """``spec``'s logical plan, collect sink appended, and its
+        fingerprint.
+
+        Memoised by the spec's canonical JSON: the builders are pure
+        functions of their spec, and the optimizer never changes the
+        plan it is given, so one plan serves every repeat, across
+        tenants and threads.  A spec that raises, or has no canonical
+        form (NaN seeds hash by identity, so they never repeat), is
+        built afresh each time and never memoised.
+        """
+        try:
+            key = json.dumps(spec, sort_keys=True, allow_nan=False)
+        except (TypeError, ValueError):
+            key = None
+        if key is not None:
+            memoised = self.spec_memo.get(key)
+            if memoised is not None:
+                return memoised
+        handle = build_workload(ctx, spec)
+        plan = handle.plan
+        plan.add(CollectSink(), [handle.operator])
+        memoised = (plan, logical_plan_fingerprint(plan))
+        if key is not None:
+            self.spec_memo.put(key, memoised)
+        return memoised
 
     def _finish(self, record, tenant, tracer, rows, metrics) -> None:
         """Tenant-tag the run's accounting and fold it into the daemon."""

@@ -18,6 +18,13 @@ changes whenever anything that influenced enumeration changes:
 A hit therefore always replays a plan that today's optimizer would have
 produced; invalidation is by key, so flipping an epoch back never
 resurrects a plan enumerated under different priors for the *new* epoch.
+
+The serving daemon looks up a repeat request without rebuilding it: it
+memoises each spec's logical plan and fingerprint (in a second
+:class:`PlanCache` of the same capacity), so a hit costs the key's
+epoch reads, one lookup and the replay.  Callers outside the daemon pass
+a plan, and :meth:`~repro.core.context.RheemContext.execute` fingerprints
+it on every call.
 """
 
 from __future__ import annotations

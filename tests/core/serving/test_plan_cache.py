@@ -13,15 +13,21 @@ Two layers of guarantees are pinned here:
 
 from __future__ import annotations
 
+import hashlib
 import random
 import threading
 from collections import OrderedDict
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro import RheemContext
 from repro.core.optimizer.calibration import CalibrationStore
-from repro.core.optimizer.fingerprint import logical_plan_fingerprint
+from repro.core.optimizer.fingerprint import (
+    _value_token,
+    logical_plan_fingerprint,
+)
 from repro.core.serving import PlanCache, plan_cache_key
 from repro.core.serving.workloads import wordcount
 
@@ -176,6 +182,53 @@ class TestCacheKeyComposition:
         assert fp_a == fp_same  # operator ids are excluded
         assert fp_a != fp_data
         assert fp_a != fp_shape
+
+
+class _Raw:
+    """An item whose ``repr`` is arbitrary text, lone surrogates included
+    (a ``str`` item's own repr escapes them)."""
+
+    def __init__(self, text: str):
+        self.text = text
+
+    def __repr__(self) -> str:
+        return self.text
+
+
+def _per_item_digest(value) -> tuple:
+    """The sequence token as one ``update`` per item and separator."""
+    digest = hashlib.sha256()
+    for item in value:
+        digest.update(repr(item).encode("utf-8", "backslashreplace"))
+        digest.update(b"\x00")
+    return ("seq", len(value), digest.hexdigest())
+
+
+_TEXT = st.text(st.one_of(st.characters(), st.characters(categories=["Cs"])))
+_ITEMS = st.recursive(
+    st.one_of(
+        st.none(), st.booleans(), st.integers(), st.floats(), _TEXT,
+        st.builds(_Raw, _TEXT),
+    ),
+    lambda inner: st.lists(inner, max_size=4).map(tuple),
+    max_leaves=12,
+)
+
+
+class TestSequenceDigest:
+    """A sequence is hashed in one pass, to the per-item stream's digest."""
+
+    @given(st.lists(_ITEMS, max_size=12))
+    def test_list_digest_matches_the_per_item_stream(self, value):
+        assert _value_token(value) == _per_item_digest(value)
+
+    @given(st.lists(_ITEMS, max_size=12).map(tuple))
+    def test_tuple_digest_matches_the_per_item_stream(self, value):
+        assert _value_token(value) == _per_item_digest(value)
+
+    def test_empty_and_surrogate_sequences(self):
+        for value in ([], (), [_Raw("\ud800")], ("\udfff", (1, "é"))):
+            assert _value_token(value) == _per_item_digest(value)
 
 
 class TestEpochInvalidation:

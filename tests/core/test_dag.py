@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.dag import OperatorGraph, OperatorNode, walk_down
+from repro.core.dag import OperatorGraph, OperatorNode
 from repro.errors import PlanError, ValidationError
 
 
@@ -88,17 +88,6 @@ class TestTraversal:
         graph.replace_input(a, src, b)  # creates a <-> b cycle
         with pytest.raises(PlanError, match="cycle"):
             graph.topological_order()
-
-    def test_walk_down_visits_descendants_once(self):
-        graph = OperatorGraph()
-        src = graph.add(Src())
-        left = graph.add(Unary(), [src])
-        right = graph.add(Unary(), [src])
-        join = graph.add(Binary(), [left, right])
-        visited = []
-        walk_down(graph, src, visited.append)
-        assert set(visited) == {src, left, right, join}
-        assert len(visited) == 4
 
 
 class TestValidation:
@@ -262,8 +251,14 @@ def assert_views_match_reference(graph):
 
 
 def descendants(graph, start):
+    """Ids of ``start`` and every operator downstream of it."""
     seen = set()
-    walk_down(graph, start, lambda op: seen.add(op.id))
+    stack = [start]
+    while stack:
+        current = stack.pop()
+        if current.id not in seen:
+            seen.add(current.id)
+            stack.extend(graph.consumers_of(current))
     return seen
 
 
